@@ -179,8 +179,6 @@ double serial_fraction(double t1, double tn, int n) {
 const char* kernel_name(ml::FlatForest::BatchKernel k) {
   switch (k) {
     case ml::FlatForest::BatchKernel::kScalar: return "scalar";
-    case ml::FlatForest::BatchKernel::kBlocked: return "blocked";
-    case ml::FlatForest::BatchKernel::kSse2: return "sse2";
     case ml::FlatForest::BatchKernel::kAvx2: return "avx2";
   }
   return "unknown";
@@ -189,7 +187,6 @@ const char* kernel_name(ml::FlatForest::BatchKernel k) {
 struct SimdKernelRow {
   const char* kernel = "";
   double double_ns_per_row = 0;
-  double float_ns_per_row = 0;
   bool outputs_identical = false;  ///< bitwise vs the scalar reference
 };
 
@@ -203,8 +200,8 @@ struct SimdKernelBench {
 };
 
 /// Times predict_batch_kernel per kernel on one scoring-chunk-sized batch
-/// (min over reps), double and float row paths, and checks every kernel
-/// against the scalar reference bit for bit. The headline
+/// (min over reps) and checks every kernel against the scalar reference
+/// bit for bit. The headline
 /// simd_kernel_speedup is scalar vs what simd::active() dispatches to.
 SimdKernelBench bench_simd_kernels() {
   using BK = ml::FlatForest::BatchKernel;
@@ -233,7 +230,6 @@ SimdKernelBench bench_simd_kernels() {
   const int n = bench.batch;
   std::vector<double> drows(static_cast<std::size_t>(n) * 11);
   for (double& x : drows) x = u(rng);
-  const std::vector<float> frows(drows.begin(), drows.end());
   std::vector<double> ref(static_cast<std::size_t>(n));
   forest.predict_batch_kernel(BK::kScalar, drows.data(), n, 11, ref.data());
 
@@ -243,13 +239,13 @@ SimdKernelBench bench_simd_kernels() {
   // the estimate of the quiet-machine rate either way.
   constexpr int kReps = 25;
   constexpr int kIters = 4;
-  const auto time_kernel = [&](BK k, auto* rows_ptr) {
+  const auto time_kernel = [&](BK k) {
     std::vector<double> out(static_cast<std::size_t>(n));
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {
       bench::WallTimer timer;
       for (int it = 0; it < kIters; ++it) {
-        forest.predict_batch_kernel(k, rows_ptr, n, 11, out.data());
+        forest.predict_batch_kernel(k, drows.data(), n, 11, out.data());
       }
       best = std::min(best, timer.elapsed_seconds());
     }
@@ -259,13 +255,11 @@ SimdKernelBench bench_simd_kernels() {
   double scalar_ns = 0, active_ns = 0;
   const BK active_kernel =
       ml::FlatForest::kernel_for(common::simd::active());
-  for (const BK k : {BK::kScalar, BK::kBlocked, BK::kSse2, BK::kAvx2}) {
+  for (const BK k : {BK::kScalar, BK::kAvx2}) {
     SimdKernelRow r;
     r.kernel = kernel_name(k);
-    auto [dns, dout] = time_kernel(k, drows.data());
-    auto [fns, fout] = time_kernel(k, frows.data());
+    auto [dns, dout] = time_kernel(k);
     r.double_ns_per_row = dns;
-    r.float_ns_per_row = fns;
     r.outputs_identical =
         std::memcmp(ref.data(), dout.data(), ref.size() * sizeof(double)) == 0;
     if (k == BK::kScalar) scalar_ns = dns;
@@ -527,15 +521,14 @@ int main(int argc, char** argv) {
   const double index_speedup = index_benches.front().speedup;
 
   // FlatForest batch-kernel micro-bench: what the SIMD dispatch buys on
-  // one scoring-chunk-sized batch, per kernel and row type.
+  // one scoring-chunk-sized batch, per kernel.
   std::printf("\nflat-forest batch kernels (%d rows, dispatch level %s)\n",
               1024, common::simd::to_string(common::simd::active()));
-  std::printf("%8s %16s %16s %10s\n", "kernel", "double ns/row",
-              "float ns/row", "bitwise");
+  std::printf("%8s %16s %10s\n", "kernel", "double ns/row", "bitwise");
   const SimdKernelBench simd_bench = bench_simd_kernels();
   for (const SimdKernelRow& r : simd_bench.rows) {
-    std::printf("%8s %16.2f %16.2f %10s\n", r.kernel, r.double_ns_per_row,
-                r.float_ns_per_row, r.outputs_identical ? "yes" : "NO (BUG)");
+    std::printf("%8s %16.2f %10s\n", r.kernel, r.double_ns_per_row,
+                r.outputs_identical ? "yes" : "NO (BUG)");
   }
   std::printf("simd kernel speedup (scalar vs dispatched): %.2fx\n",
               simd_bench.speedup);
@@ -617,7 +610,6 @@ int main(int argc, char** argv) {
                                  .field("kernel", std::string(r.kernel))
                                  .field("double_ns_per_row",
                                         r.double_ns_per_row)
-                                 .field("float_ns_per_row", r.float_ns_per_row)
                                  .field("outputs_identical",
                                         r.outputs_identical)
                                  .str());

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "common/binio.hpp"
 #include "common/http.hpp"
 #include "common/parallel.hpp"
 #include "core/attack_service.hpp"
@@ -53,13 +54,7 @@
 namespace {
 
 using namespace repro;
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex64;
 
 /// Pulls "digest": "<hex16>" out of a /score response body.
 std::string digest_of(const std::string& body) {

@@ -130,19 +130,18 @@ void BM_FlatForestInference(benchmark::State& state) {
 BENCHMARK(BM_FlatForestInference);
 
 /// Random feature rows shaped like scored candidates.
-template <class T>
-std::vector<T> candidate_rows(int n, int features, std::uint64_t seed) {
+std::vector<double> candidate_rows(int n, int features, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::vector<T> rows(static_cast<std::size_t>(n) * features);
-  for (T& v : rows) v = static_cast<T>(u(rng));
+  std::vector<double> rows(static_cast<std::size_t>(n) * features);
+  for (double& v : rows) v = u(rng);
   return rows;
 }
 
 void BM_FlatForestBatch(benchmark::State& state) {
   const ml::FlatForest forest = trained_flat_forest();
   const int n = static_cast<int>(state.range(0));
-  const auto rows = candidate_rows<double>(n, 11, 21);
+  const auto rows = candidate_rows(n, 11, 21);
   std::vector<double> out(static_cast<std::size_t>(n));
   for (auto _ : state) {
     forest.predict_batch(rows.data(), n, 11, out.data());
@@ -152,33 +151,20 @@ void BM_FlatForestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatForestBatch)->Arg(256)->Arg(4096);
 
-void BM_FlatForestBatchFloatRows(benchmark::State& state) {
-  const ml::FlatForest forest = trained_flat_forest();
-  const int n = static_cast<int>(state.range(0));
-  const auto rows = candidate_rows<float>(n, 11, 21);
-  std::vector<double> out(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    forest.predict_batch(rows.data(), n, 11, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_FlatForestBatchFloatRows)->Arg(256)->Arg(4096);
-
-// Kernel-by-kernel batch traversal: the reference per-row walk vs the
-// blocked level-synchronous traversal vs its SSE2/AVX2 widenings, across
-// the batch sizes the attack actually issues (1 = predict_proba-style,
-// 8 = one block, 64 = small target, 1024 = scoring-chunk scale). All
-// kernels return bit-identical outputs (tests/test_simd.cpp); these
-// measure what that costs or buys per shape. Kernels the machine cannot
-// execute fall back as predict_batch_kernel documents, so cross-machine
-// comparisons should check simd::max_supported() first.
+// Kernel-by-kernel batch traversal: the reference per-row walk (0) vs
+// the AVX2 frontier partition (1), across the batch sizes the attack
+// actually issues (1 = predict_proba-style, 8 = one vector, 64 = small
+// target, 1024 = scoring-chunk scale). Both kernels return bit-identical
+// outputs (tests/test_simd.cpp); these measure what that costs or buys
+// per shape. On a machine without AVX2 kernel 1 falls back to the
+// reference walk, so cross-machine comparisons should check
+// simd::max_supported() first.
 void BM_FlatForestBatchKernel(benchmark::State& state) {
   const ml::FlatForest forest = trained_flat_forest();
   const auto kernel =
       static_cast<ml::FlatForest::BatchKernel>(state.range(0));
   const int n = static_cast<int>(state.range(1));
-  const auto rows = candidate_rows<double>(n, 11, 21);
+  const auto rows = candidate_rows(n, 11, 21);
   std::vector<double> out(static_cast<std::size_t>(n));
   for (auto _ : state) {
     forest.predict_batch_kernel(kernel, rows.data(), n, 11, out.data());
@@ -188,24 +174,7 @@ void BM_FlatForestBatchKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatForestBatchKernel)
     ->ArgNames({"kernel", "batch"})
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 8, 64, 1024}});
-
-void BM_FlatForestBatchKernelFloatRows(benchmark::State& state) {
-  const ml::FlatForest forest = trained_flat_forest();
-  const auto kernel =
-      static_cast<ml::FlatForest::BatchKernel>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  const auto rows = candidate_rows<float>(n, 11, 21);
-  std::vector<double> out(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    forest.predict_batch_kernel(kernel, rows.data(), n, 11, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_FlatForestBatchKernelFloatRows)
-    ->ArgNames({"kernel", "batch"})
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 8, 64, 1024}});
+    ->ArgsProduct({{0, 1}, {1, 8, 64, 1024}});
 
 // --- model checkpoint serialization ---------------------------------------
 // The per-fold cost the checkpoint layer adds to a LOO campaign: sealing a
@@ -251,7 +220,7 @@ void BM_ParallelScoring(benchmark::State& state) {
   const int num_targets = 64;
   const int per_target = scaled(2048);
   const auto rows =
-      candidate_rows<double>(num_targets * per_target, 11, 33);
+      candidate_rows(num_targets * per_target, 11, 33);
   common::ThreadPool pool(threads);
   std::vector<double> out(rows.size() / 11);
   for (auto _ : state) {

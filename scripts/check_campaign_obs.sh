@@ -167,7 +167,7 @@ grep -q "campaign: complete" "$OUT/once.log" || {
 
 "$REPORT" --campaign-dir "$OUT/run1" --serve 0 >"$OUT/serve.log" 2>&1 &
 SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null; rm -rf "$OUT"' EXIT
+trap 'kill "$SERVER" 2>/dev/null || true; rm -rf "$OUT"' EXIT
 PORT=""
 for _ in $(seq 1 100); do
   PORT=$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \

@@ -30,7 +30,7 @@ SCALE=${REPRO_SCALE:-0.12}
 OUT=$(mktemp -d)
 SRV1=""
 SRV2=""
-trap 'kill -9 "$SRV1" "$SRV2" 2>/dev/null; rm -rf "$OUT"' EXIT
+trap 'kill -9 "$SRV1" "$SRV2" 2>/dev/null || true; rm -rf "$OUT"' EXIT
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -34,7 +34,7 @@ BUILD_DIR=${1:-build}
 SCALE=${REPRO_SCALE:-0.05}
 OUT=$(mktemp -d)
 SRV=""
-trap 'kill -9 "$SRV" 2>/dev/null; rm -rf "$OUT"' EXIT
+trap 'kill -9 "$SRV" 2>/dev/null || true; rm -rf "$OUT"' EXIT
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -1,10 +1,11 @@
 #!/bin/bash
 # Runs the SIMD differential tests at every dispatch level the build
-# knows about: REPRO_SIMD=scalar|sse2|avx2|auto each re-run the kernel
-# bit-identity suite (FlatForest batch kernels, attack digests across
-# levels x threads) with that level pinned. Levels above what the CPU
-# supports clamp down inside the shim, so the avx2 pass degrades
-# gracefully on SSE2-only hosts instead of being skipped silently.
+# knows about: REPRO_SIMD=scalar|avx2|auto each re-run the kernel
+# bit-identity suite (FlatForest batch kernels against the scalar walk
+# and the DecisionTree pointer walk, attack digests across levels x
+# threads) with that level pinned. avx2 clamps down to scalar inside
+# the shim on hosts without AVX2, so that pass degrades gracefully
+# instead of being skipped silently.
 #
 # Uses the default build tree (build/); creates it if missing.
 #
@@ -18,7 +19,7 @@ if [ ! -d "$BUILD_DIR" ]; then
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target repro_tests
 
-for level in scalar sse2 avx2 auto; do
+for level in scalar avx2 auto; do
   echo "== simd differential: REPRO_SIMD=$level =="
   REPRO_SIMD="$level" ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -R 'Simd|FlatForest' "$@"

@@ -3,10 +3,11 @@
 #
 #   1. tier-1: default build + `ctest -L fast` (every unit/integration
 #      test carries the "fast" label; this is the suite PRs must keep
-#      green),
+#      green), then `ctest -L bench`: the bench_pipeline smoke, whose
+#      pipeline digests must match bench/pipeline/baseline,
 #   2. the SIMD differential suite, re-run with REPRO_SIMD pinned to
-#      scalar, sse2, avx2 and auto (kernel outputs must stay
-#      bit-identical at every dispatch level),
+#      scalar, avx2 and auto (kernel outputs must stay bit-identical at
+#      every dispatch level),
 #   3. ASan + UBSan over the ingestion-facing tests,
 #   4. TSan over the parallel-path tests,
 #   5. the observability end-to-end check (trace/metrics/report JSON
@@ -39,6 +40,7 @@ echo "== ci: tier-1 (build + ctest -L fast) =="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L fast -j "$(nproc)" --output-on-failure
+ctest --test-dir build -L bench --output-on-failure
 
 echo "== ci: simd differential (REPRO_SIMD levels) =="
 scripts/check_simd.sh

@@ -33,6 +33,13 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+std::string hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 void BinaryWriter::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
 }

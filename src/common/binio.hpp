@@ -36,6 +36,11 @@ inline std::uint32_t crc32_str(const std::string& s) {
   return crc32({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
+/// `v` as 16 lowercase hex digits ("%016llx"): the one spelling of
+/// digests, run keys and payload fingerprints in files, JSON and HTTP
+/// headers.
+std::string hex64(std::uint64_t v);
+
 /// Appends fixed-width little-endian values to a byte string.
 class BinaryWriter {
  public:

@@ -16,13 +16,6 @@ namespace {
 constexpr int kManifestVersion = 1;
 constexpr const char* kLockName = ".lock";
 
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string hex32(std::uint32_t v) {
   char buf[12];
   std::snprintf(buf, sizeof buf, "%08x", v);

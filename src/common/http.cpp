@@ -15,6 +15,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/binio.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 
@@ -735,11 +736,7 @@ StatusOr<Response> fetch_with_retry(const Endpoint& ep,
         // retried like any transport failure.
         const std::string* want = resp->header("x-payload-fnv");
         if (want != nullptr) {
-          char got[24];
-          std::snprintf(got, sizeof got, "%016llx",
-                        static_cast<unsigned long long>(
-                            fnv1a64(resp->body)));
-          if (*want != got) {
+          if (*want != hex64(fnv1a64(resp->body))) {
             last = Status::DataLoss("payload digest mismatch from " +
                                     ep.label() + " (torn response)");
             resp = last;

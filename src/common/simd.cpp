@@ -28,7 +28,6 @@ Level resolve_from_env() {
 const char* to_string(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -36,18 +35,14 @@ const char* to_string(Level level) {
 
 std::optional<Level> parse_level(std::string_view s) {
   if (s == "scalar") return Level::kScalar;
-  if (s == "sse2") return Level::kSse2;
   if (s == "avx2") return Level::kAvx2;
   return std::nullopt;  // "auto", "", typos: resolve from hardware
 }
 
 Level max_supported() {
 #if defined(REPRO_SIMD_X86) && defined(__GNUC__)
-  static const Level supported = [] {
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return Level::kSse2;
-    return Level::kScalar;
-  }();
+  static const Level supported =
+      __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
   return supported;
 #else
   return Level::kScalar;

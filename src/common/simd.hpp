@@ -9,19 +9,23 @@
 // branch the scalar ternary selects) and the same accumulation order.
 // Vector width changes which lanes are computed together, never what
 // is computed, so AttackResult digests are bit-identical across
-// scalar / SSE2 / AVX2 and across thread counts. The differential
-// tests in tests/test_simd.cpp and scripts/check_simd.sh enforce this
-// by running the same inputs under every forced level.
+// scalar / AVX2 and across thread counts. The differential tests in
+// tests/test_simd.cpp and scripts/check_simd.sh enforce this by running
+// the same inputs under every forced level.
+//
+// There are two levels. kScalar is the reference code every kernel
+// starts from; kAvx2 is the one vector tier whose kernels measurably beat
+// it (DESIGN.md section 8.2).
 //
 // Dispatch resolution, in priority order:
 //   1. set_level(l) (tests, benches) — clamped to max_supported()
-//   2. the REPRO_SIMD environment variable: scalar | sse2 | avx2 | auto
-//   3. max_supported(): the strongest level both compiled in and
-//      reported by the CPU (cpuid via __builtin_cpu_supports)
+//   2. the REPRO_SIMD environment variable: scalar | avx2 | auto
+//   3. max_supported(): kAvx2 when both compiled in (x86) and reported
+//      by the CPU (cpuid via __builtin_cpu_supports), else kScalar
 //
-// Non-x86 builds compile the scalar fallback only; REPRO_SIMD values
-// above the supported maximum clamp down instead of failing, so the
-// same scripts run everywhere.
+// Non-x86 builds compile the scalar fallback only; REPRO_SIMD=avx2
+// clamps down to scalar there instead of failing, so the same scripts
+// run everywhere.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +43,15 @@ namespace repro::common::simd {
 /// numeric comparison means capability comparison.
 enum class Level : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 const char* to_string(Level level);
 
-/// Parses a REPRO_SIMD value. "scalar" / "sse2" / "avx2" map to their
-/// levels; "auto" (and "") mean resolve-from-hardware and return
-/// nullopt; anything else also returns nullopt (callers fall back to
-/// auto rather than aborting a run over a typo).
+/// Parses a REPRO_SIMD value. "scalar" / "avx2" map to their levels;
+/// "auto" (and "") mean resolve-from-hardware and return nullopt;
+/// anything else (a typo, or the retired "sse2") also returns nullopt,
+/// so callers fall back to auto rather than aborting a run.
 std::optional<Level> parse_level(std::string_view s);
 
 /// Strongest level this binary can execute here: compile-target support

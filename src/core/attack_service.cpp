@@ -1,10 +1,10 @@
 #include "core/attack_service.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <utility>
 
+#include "common/binio.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
@@ -16,16 +16,10 @@ namespace repro::core {
 
 namespace {
 
+using common::hex64;
 using common::JsonObject;
 using common::http::Request;
 using common::http::Response;
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(

@@ -25,13 +25,7 @@ namespace repro::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex64;
 
 ShardStatus status_from_string(const std::string& s) {
   if (s == "running") return ShardStatus::kRunning;

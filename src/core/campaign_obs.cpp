@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
@@ -17,15 +16,9 @@ namespace repro::core {
 
 namespace {
 
+using common::hex64;
 using common::JsonObject;
 using common::JsonValue;
-
-std::string hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 double wall_now_s() {
   return std::chrono::duration<double>(

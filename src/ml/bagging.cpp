@@ -6,7 +6,6 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
-#include <type_traits>
 
 #include "common/obs.hpp"
 #include "common/parallel.hpp"
@@ -135,26 +134,16 @@ FlatForest FlatForest::build(const BaggingClassifier& clf) {
   f.left_.reserve(static_cast<std::size_t>(total));
   f.right_.reserve(static_cast<std::size_t>(total));
   f.leaf_p_.reserve(static_cast<std::size_t>(total));
-  f.feat_pad_.reserve(static_cast<std::size_t>(total));
-  f.kids_.reserve(2 * static_cast<std::size_t>(total));
   for (int t = 0; t < clf.num_trees(); ++t) {
     const DecisionTree& tree = clf.tree(t);
     const std::int32_t base = static_cast<std::int32_t>(f.feature_.size());
     f.roots_.push_back(base);
-    f.tree_depth_.push_back(tree.depth());
     for (int i = 0; i < tree.num_nodes(); ++i) {
       const TreeNode& n = tree.node(i);
-      const std::int32_t self = base + static_cast<std::int32_t>(i);
       f.feature_.push_back(n.feature);
       f.threshold_.push_back(n.threshold);
       f.left_.push_back(n.is_leaf() ? -1 : base + n.left);
       f.right_.push_back(n.is_leaf() ? -1 : base + n.right);
-      // Padded mirrors: leaves read feature 0 (their threshold is 0.0)
-      // and both children loop back to the leaf, so the level-synchronous
-      // kernels can advance every lane unconditionally.
-      f.feat_pad_.push_back(n.is_leaf() ? 0 : n.feature);
-      f.kids_.push_back(n.is_leaf() ? self : base + n.left);
-      f.kids_.push_back(n.is_leaf() ? self : base + n.right);
       const double count = n.pos + n.neg;
       f.leaf_p_.push_back(count > 0 ? n.pos / count : 0.5);
     }
@@ -205,39 +194,23 @@ FlatForest FlatForest::build(const BaggingClassifier& clf) {
   return f;
 }
 
-double FlatForest::walk(const double* x) const {
-  double sum = 0;
-  for (const std::int32_t root : roots_) {
-    std::int32_t node = root;
-    std::int32_t feat = feature_[static_cast<std::size_t>(node)];
-    while (feat >= 0) {
-      node = x[feat] < threshold_[static_cast<std::size_t>(node)]
-                 ? left_[static_cast<std::size_t>(node)]
-                 : right_[static_cast<std::size_t>(node)];
-      feat = feature_[static_cast<std::size_t>(node)];
-    }
-    sum += leaf_p_[static_cast<std::size_t>(node)];
-  }
-  return sum / static_cast<double>(roots_.size());
-}
-
 double FlatForest::predict_proba(std::span<const double> x) const {
   if (roots_.empty()) return 0.5;
-  return walk(x.data());
+  double p = 0;
+  batch_walk(x.data(), 1, static_cast<int>(x.size()), &p);
+  return p;
 }
 
-template <class T>
-void FlatForest::batch_walk(const T* rows, int n, int num_features,
+void FlatForest::batch_walk(const double* rows, int n, int num_features,
                             double* out) const {
   for (int i = 0; i < n; ++i) {
-    const T* x = rows + static_cast<std::size_t>(i) * num_features;
+    const double* x = rows + static_cast<std::size_t>(i) * num_features;
     double sum = 0;
     for (const std::int32_t root : roots_) {
       std::int32_t node = root;
       std::int32_t feat = feature_[static_cast<std::size_t>(node)];
       while (feat >= 0) {
-        node = static_cast<double>(x[feat]) <
-                       threshold_[static_cast<std::size_t>(node)]
+        node = x[feat] < threshold_[static_cast<std::size_t>(node)]
                    ? left_[static_cast<std::size_t>(node)]
                    : right_[static_cast<std::size_t>(node)];
         feat = feature_[static_cast<std::size_t>(node)];
@@ -248,125 +221,23 @@ void FlatForest::batch_walk(const T* rows, int n, int num_features,
   }
 }
 
-template <class T>
-void FlatForest::tree_block_scalar(std::size_t t, const T* rows,
-                                   int num_features, int m,
-                                   double* out) const {
-  std::int32_t node[kBlock];
-  for (int k = 0; k < m; ++k) node[k] = roots_[t];
-  // One level per step; every lane moves every step (leaves self-loop).
-  // NaN features compare false and go right, exactly like the ternary
-  // in walk(). Stop early once no lane moved (all at leaves).
-  for (std::int32_t d = tree_depth_[t]; d > 0; --d) {
-    bool moved = false;
-    for (int k = 0; k < m; ++k) {
-      const std::int32_t a = node[k];
-      const double x = static_cast<double>(
-          rows[static_cast<std::size_t>(k) * num_features +
-               feat_pad_[static_cast<std::size_t>(a)]]);
-      const std::int32_t next =
-          kids_[2 * static_cast<std::size_t>(a) +
-                (x < threshold_[static_cast<std::size_t>(a)] ? 0 : 1)];
-      moved |= (next != a);
-      node[k] = next;
-    }
-    if (!moved) break;
-  }
-  for (int k = 0; k < m; ++k) {
-    out[k] += leaf_p_[static_cast<std::size_t>(node[k])];
-  }
-}
-
-template <class T>
-void FlatForest::batch_blocked(const T* rows, int n, int num_features,
-                               double* out) const {
-  // Tree-major: one tree's nodes stay cache-hot while the whole batch
-  // advances through it. Each out[i] accumulates leaf probabilities in
-  // tree order and divides once at the end — the same summation as the
-  // reference walk, so results are bit-identical.
-  std::fill_n(out, n, 0.0);
-  const std::size_t num_trees = roots_.size();
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    for (int i = 0; i < n; i += kBlock) {
-      tree_block_scalar(t, rows + static_cast<std::size_t>(i) * num_features,
-                        num_features, std::min(kBlock, n - i), out + i);
-    }
-  }
-  for (int i = 0; i < n; ++i) out[i] /= static_cast<double>(num_trees);
-}
-
 #if defined(REPRO_SIMD_X86)
 
-template <class T>
-void FlatForest::tree_block_sse2(std::size_t t, const T* rows,
-                                 int num_features, int m, double* out) const {
-  std::int32_t node[kBlock];
-  const std::int32_t* feat = feat_pad_.data();
-  const std::int32_t* kids = kids_.data();
-  const double* thr = threshold_.data();
-  for (int k = 0; k < m; ++k) node[k] = roots_[t];
-  for (std::int32_t d = tree_depth_[t]; d > 0; --d) {
-    bool moved = false;
-    int k = 0;
-    for (; k + 1 < m; k += 2) {
-      const std::int32_t a = node[k], b = node[k + 1];
-      // Widen features to double first, as the scalar path does; CMPLTPD
-      // is the ordered < of the scalar ternary, so NaN lanes produce 0
-      // and take the right child.
-      const __m128d x = _mm_set_pd(
-          static_cast<double>(
-              rows[static_cast<std::size_t>(k + 1) * num_features + feat[b]]),
-          static_cast<double>(
-              rows[static_cast<std::size_t>(k) * num_features + feat[a]]));
-      const __m128d th = _mm_set_pd(thr[b], thr[a]);
-      const int lt = _mm_movemask_pd(_mm_cmplt_pd(x, th));
-      const std::int32_t na = kids[2 * a + ((lt & 1) ^ 1)];
-      const std::int32_t nb = kids[2 * b + (((lt >> 1) & 1) ^ 1)];
-      moved |= (na != a) | (nb != b);
-      node[k] = na;
-      node[k + 1] = nb;
-    }
-    if (k < m) {  // odd tail lane
-      const std::int32_t a = node[k];
-      const double x = static_cast<double>(
-          rows[static_cast<std::size_t>(k) * num_features + feat[a]]);
-      const std::int32_t na = kids[2 * a + (x < thr[a] ? 0 : 1)];
-      moved |= (na != a);
-      node[k] = na;
-    }
-    if (!moved) break;
-  }
-  for (int k = 0; k < m; ++k) {
-    out[k] += leaf_p_[static_cast<std::size_t>(node[k])];
-  }
-}
-
-template <class T>
-void FlatForest::batch_sse2(const T* rows, int n, int num_features,
-                            double* out) const {
-  std::fill_n(out, n, 0.0);
-  const std::size_t num_trees = roots_.size();
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    for (int i = 0; i < n; i += kBlock) {
-      tree_block_sse2(t, rows + static_cast<std::size_t>(i) * num_features,
-                      num_features, std::min(kBlock, n - i), out + i);
-    }
-  }
-  for (int i = 0; i < n; ++i) out[i] /= static_cast<double>(num_trees);
-}
-
-template <class T>
-void FlatForest::walk_out(const T* rows, int num_features, std::int32_t node,
-                          const std::uint32_t* row_ids, std::int32_t count,
-                          double* out) const {
+// inline: folded into frontier_avx2, whose hot loops then share one
+// layout (see the loop alignment note in CMakeLists.txt). With this walk
+// called out of line the AVX2 kernel measured ~1.4x slower.
+inline void FlatForest::walk_out(const double* rows, int num_features,
+                                 std::int32_t node,
+                                 const std::uint32_t* row_ids,
+                                 std::int32_t count, double* out) const {
   const PackedNode* nd = packed_.data();
   for (std::int32_t j = 0; j < count; ++j) {
     const std::uint32_t r = row_ids[j];
-    const T* x = rows + static_cast<std::size_t>(r) * num_features;
+    const double* x = rows + static_cast<std::size_t>(r) * num_features;
     std::int32_t a = node;
     std::int32_t f = nd[a].feat;
     while (f >= 0) {
-      a = nd[a].left + (static_cast<double>(x[f]) < nd[a].thr ? 0 : 1);
+      a = nd[a].left + (x[f] < nd[a].thr ? 0 : 1);
       f = nd[a].feat;
     }
     out[r] += packed_leafp_[static_cast<std::size_t>(a)];
@@ -422,9 +293,8 @@ const std::int32_t (&lane_masks())[9][8] {
 // probability added into out[row] for this tree — depends only on the
 // row's own features, and tree order is preserved by the outer loop, so
 // out[] sees the exact accumulation order of the reference walk.
-template <class T>
 __attribute__((target("avx2")))
-void FlatForest::frontier_avx2(const T* rows, int n, int num_features,
+void FlatForest::frontier_avx2(const double* rows, int n, int num_features,
                                double* out) const {
   if (n < kBlock) {
     // Too narrow to partition; the reference walk is fastest here and
@@ -483,20 +353,14 @@ void FlatForest::frontier_avx2(const T* rows, int n, int num_features,
           const __m256i r8 = _mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(src + j));
           // x[feat] of each row via gather at index row * nf + feat;
-          // float rows widen to double so the compare below is the same
-          // double < as every other kernel (_CMP_LT_OQ: NaN goes right).
+          // the compare below is the same double < as the reference walk
+          // (_CMP_LT_OQ: NaN goes right).
           const __m128i rlo = _mm256_castsi256_si128(r8);
           const __m128i rhi = _mm256_extracti128_si256(r8, 1);
           const __m128i ilo = _mm_add_epi32(_mm_mullo_epi32(rlo, nfv), fofs);
           const __m128i ihi = _mm_add_epi32(_mm_mullo_epi32(rhi, nfv), fofs);
-          __m256d xlo, xhi;
-          if constexpr (std::is_same_v<T, double>) {
-            xlo = _mm256_i32gather_pd(rows, ilo, 8);
-            xhi = _mm256_i32gather_pd(rows, ihi, 8);
-          } else {
-            xlo = _mm256_cvtps_pd(_mm_i32gather_ps(rows, ilo, 4));
-            xhi = _mm256_cvtps_pd(_mm_i32gather_ps(rows, ihi, 4));
-          }
+          const __m256d xlo = _mm256_i32gather_pd(rows, ilo, 8);
+          const __m256d xhi = _mm256_i32gather_pd(rows, ihi, 8);
           const int mlo =
               _mm256_movemask_pd(_mm256_cmp_pd(xlo, thr, _CMP_LT_OQ));
           const int mhi =
@@ -528,14 +392,8 @@ void FlatForest::frontier_avx2(const T* rows, int n, int num_features,
           const __m128i rhi = _mm256_extracti128_si256(r8, 1);
           const __m128i ilo = _mm_add_epi32(_mm_mullo_epi32(rlo, nfv), fofs);
           const __m128i ihi = _mm_add_epi32(_mm_mullo_epi32(rhi, nfv), fofs);
-          __m256d xlo, xhi;
-          if constexpr (std::is_same_v<T, double>) {
-            xlo = _mm256_i32gather_pd(rows, ilo, 8);
-            xhi = _mm256_i32gather_pd(rows, ihi, 8);
-          } else {
-            xlo = _mm256_cvtps_pd(_mm_i32gather_ps(rows, ilo, 4));
-            xhi = _mm256_cvtps_pd(_mm_i32gather_ps(rows, ihi, 4));
-          }
+          const __m256d xlo = _mm256_i32gather_pd(rows, ilo, 8);
+          const __m256d xhi = _mm256_i32gather_pd(rows, ihi, 8);
           const int mlo =
               _mm256_movemask_pd(_mm256_cmp_pd(xlo, thr, _CMP_LT_OQ));
           const int mhi =
@@ -586,15 +444,8 @@ void FlatForest::frontier_avx2(const T* rows, int n, int num_features,
 #endif  // REPRO_SIMD_X86
 
 FlatForest::BatchKernel FlatForest::kernel_for(common::simd::Level level) {
-  switch (level) {
-    case common::simd::Level::kAvx2:
-      return BatchKernel::kAvx2;
-    case common::simd::Level::kSse2:
-      return BatchKernel::kSse2;
-    case common::simd::Level::kScalar:
-      break;
-  }
-  return BatchKernel::kScalar;
+  return level == common::simd::Level::kAvx2 ? BatchKernel::kAvx2
+                                             : BatchKernel::kScalar;
 }
 
 void FlatForest::predict_batch_kernel(BatchKernel kernel, const double* rows,
@@ -606,80 +457,15 @@ void FlatForest::predict_batch_kernel(BatchKernel kernel, const double* rows,
   }
 #if defined(REPRO_SIMD_X86)
   if (kernel == BatchKernel::kAvx2 &&
-      common::simd::max_supported() < common::simd::Level::kAvx2) {
-    kernel = BatchKernel::kSse2;  // requested but not executable here
-  }
-#else
-  if (kernel == BatchKernel::kSse2 || kernel == BatchKernel::kAvx2) {
-    kernel = BatchKernel::kBlocked;
-  }
-#endif
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      batch_walk(rows, n, num_features, out);
-      return;
-    case BatchKernel::kBlocked:
-      batch_blocked(rows, n, num_features, out);
-      return;
-#if defined(REPRO_SIMD_X86)
-    case BatchKernel::kSse2:
-      batch_sse2(rows, n, num_features, out);
-      return;
-    case BatchKernel::kAvx2:
-      frontier_avx2(rows, n, num_features, out);
-      return;
-#endif
-    default:
-      batch_blocked(rows, n, num_features, out);
-      return;
-  }
-}
-
-void FlatForest::predict_batch_kernel(BatchKernel kernel, const float* rows,
-                                      int n, int num_features,
-                                      double* out) const {
-  if (roots_.empty()) {
-    for (int i = 0; i < n; ++i) out[i] = 0.5;
+      common::simd::max_supported() == common::simd::Level::kAvx2) {
+    frontier_avx2(rows, n, num_features, out);
     return;
   }
-#if defined(REPRO_SIMD_X86)
-  if (kernel == BatchKernel::kAvx2 &&
-      common::simd::max_supported() < common::simd::Level::kAvx2) {
-    kernel = BatchKernel::kSse2;
-  }
-#else
-  if (kernel == BatchKernel::kSse2 || kernel == BatchKernel::kAvx2) {
-    kernel = BatchKernel::kBlocked;
-  }
 #endif
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      batch_walk(rows, n, num_features, out);
-      return;
-    case BatchKernel::kBlocked:
-      batch_blocked(rows, n, num_features, out);
-      return;
-#if defined(REPRO_SIMD_X86)
-    case BatchKernel::kSse2:
-      batch_sse2(rows, n, num_features, out);
-      return;
-    case BatchKernel::kAvx2:
-      frontier_avx2(rows, n, num_features, out);
-      return;
-#endif
-    default:
-      batch_blocked(rows, n, num_features, out);
-      return;
-  }
+  batch_walk(rows, n, num_features, out);
 }
 
 void FlatForest::predict_batch(const double* rows, int n, int num_features,
-                               double* out) const {
-  predict_batch_kernel(kernel_for(common::simd::active()), rows, n,
-                       num_features, out);
-}
-
-void FlatForest::predict_batch(const float* rows, int n, int num_features,
                                double* out) const {
   predict_batch_kernel(kernel_for(common::simd::active()), rows, n,
                        num_features, out);

@@ -104,41 +104,39 @@ class BaggingClassifier {
 /// precomputed with the same pos/(pos+neg) expression and summed in the
 /// same tree order.
 ///
-/// Batch inference is tree-major: the outer loop walks one tree at a
-/// time over the whole batch, so that tree's nodes stay cache-hot for
-/// every row instead of the full forest streaming through cache once per
-/// row. Two branch-free strategies sit behind the kernel dispatch:
+/// Two kernels sit behind the dispatch, one per common::simd level:
 ///
-///  * kBlocked / kSse2 — level-synchronous blocks: 8 rows advance one
-///    level per step over padded SoA arrays in which leaves self-loop
-///    (kids_[2i] == kids_[2i+1] == i), so the inner loop has no per-lane
-///    "am I at a leaf yet" branch.
-///  * kAvx2 — frontier partition: the whole batch descends the tree
-///    level by level as row-index segments, one segment per reached
-///    node. Each node's threshold and feature are loaded once per
-///    *node* (not once per row), the segment is split left/right with a
-///    vector compare + compress-store, and segments narrower than one
-///    vector walk out to their leaves row by row. On random rows the
-///    per-row scalar walk is branch-mispredict-bound (every split is
-///    ~50/50), which partitioning sidesteps entirely.
+///  * kScalar — the reference walk: one row at a time through every
+///    tree over the SoA arrays. Also serves predict_proba (a batch of
+///    one) and batches narrower than one AVX2 vector.
+///  * kAvx2 — frontier partition, tree-major: the whole batch descends
+///    one tree level by level as row-index segments, one segment per
+///    reached node, over a BFS-packed mirror of the nodes (16-byte
+///    records, right child = left + 1). Each node's threshold and
+///    feature are loaded once per *node* (not once per row), the segment
+///    is split left/right with a vector compare + compress-store, and
+///    segments narrower than one vector walk out to their leaves row by
+///    row. On random rows the per-row walk is branch-mispredict-bound
+///    (every split is ~50/50), which partitioning sidesteps entirely.
 ///
-/// Every kernel accumulates each out[i]'s leaf probabilities in tree
-/// order and divides once at the end — the exact same double compares
-/// (NaN goes right) and the same summation order as the reference walk,
-/// so outputs are bit-identical at every dispatch level
-/// (common::simd::active()); the kernels differ only in how the work is
-/// scheduled, never in arithmetic.
+/// Both layouts earn their keep: the scalar walk over the BFS-packed
+/// records measured ~25% slower than over the SoA arrays, so the
+/// reference walk keeps its own layout (DESIGN.md, section 8.2).
+///
+/// Both kernels accumulate each out[i]'s leaf probabilities in tree
+/// order and divide once at the end — the exact same double compares
+/// (NaN goes right) and the same summation order — so outputs are
+/// bit-identical at every dispatch level (common::simd::active()); the
+/// kernels differ only in how the work is scheduled, never in arithmetic.
 class FlatForest {
  public:
   /// Batch-traversal kernels, selectable for benches and differential
   /// tests; predict_batch dispatches on common::simd::active().
   enum class BatchKernel {
-    kScalar,   ///< reference one-row-at-a-time walk (the pre-SIMD path)
-    kBlocked,  ///< branch-free level-synchronous blocks of 8 rows
-    kSse2,     ///< kBlocked with SSE2 paired compares
-    kAvx2,     ///< frontier partition with AVX2 compress-stores
+    kScalar,  ///< reference one-row-at-a-time walk
+    kAvx2,    ///< frontier partition with AVX2 compress-stores
   };
-  /// Rows per block of the blocked/SIMD kernels.
+  /// Rows per AVX2 vector; narrower batches and segments walk row by row.
   static constexpr int kBlock = 8;
 
   FlatForest() = default;
@@ -153,54 +151,28 @@ class FlatForest {
 
   /// Scores n rows of `num_features` doubles each (row-major, contiguous);
   /// out[i] = predict_proba(row i). The hot path of candidate scoring.
-  /// Dispatches to the strongest kernel of common::simd::active().
+  /// Dispatches to the kernel of common::simd::active().
   void predict_batch(const double* rows, int n, int num_features,
                      double* out) const;
 
-  /// Float-row variant for bandwidth-bound callers (micro-benches). Rows
-  /// are widened to double per lookup, so thresholds compare exactly as
-  /// in the double path only when the features are float-representable.
-  void predict_batch(const float* rows, int n, int num_features,
-                     double* out) const;
-
-  /// predict_batch through one specific kernel. SIMD kernels the build
-  /// or CPU lacks fall back to kBlocked (same outputs by contract).
+  /// predict_batch through one specific kernel. kAvx2 on a build or CPU
+  /// without AVX2 runs kScalar (same outputs by contract).
   void predict_batch_kernel(BatchKernel kernel, const double* rows, int n,
-                            int num_features, double* out) const;
-  void predict_batch_kernel(BatchKernel kernel, const float* rows, int n,
                             int num_features, double* out) const;
 
   /// The kernel predict_batch uses at a given dispatch level.
   static BatchKernel kernel_for(common::simd::Level level);
 
  private:
-  double walk(const double* x) const;
-
-  template <class T>
-  void batch_walk(const T* rows, int n, int num_features, double* out) const;
-  /// Advances one block of m <= kBlock rows through tree `t` and adds the
-  /// reached leaf probabilities into out[0..m) — the per-(tree, block)
-  /// step all tree-major kernels are built from.
-  template <class T>
-  void tree_block_scalar(std::size_t t, const T* rows, int num_features,
-                         int m, double* out) const;
-  template <class T>
-  void batch_blocked(const T* rows, int n, int num_features,
-                     double* out) const;
+  void batch_walk(const double* rows, int n, int num_features,
+                  double* out) const;
 #if defined(REPRO_SIMD_X86)
-  template <class T>
-  void tree_block_sse2(std::size_t t, const T* rows, int num_features, int m,
-                       double* out) const;
-  template <class T>
-  void batch_sse2(const T* rows, int n, int num_features, double* out) const;
   /// Finishes `count` rows of the frontier kernel one by one: walks each
   /// from `node` to its leaf and adds the leaf probability into out[row].
-  template <class T>
-  void walk_out(const T* rows, int num_features, std::int32_t node,
+  void walk_out(const double* rows, int num_features, std::int32_t node,
                 const std::uint32_t* row_ids, std::int32_t count,
                 double* out) const;
-  template <class T>
-  void frontier_avx2(const T* rows, int n, int num_features,
+  void frontier_avx2(const double* rows, int n, int num_features,
                      double* out) const;
 #endif
 
@@ -211,13 +183,6 @@ class FlatForest {
   std::vector<std::int32_t> right_;
   std::vector<double> leaf_p_;           ///< pos/(pos+neg), 0.5 if empty
   std::vector<std::int32_t> roots_;      ///< root node id per tree
-
-  // Padded mirrors for branch-free level-synchronous traversal: leaves
-  // carry feature 0 (their threshold stays 0.0; the compare result is
-  // irrelevant because both children point back at the leaf itself).
-  std::vector<std::int32_t> feat_pad_;   ///< feature, 0 for leaves
-  std::vector<std::int32_t> kids_;       ///< [2i]=left, [2i+1]=right; leaves self-loop
-  std::vector<std::int32_t> tree_depth_; ///< max root-to-leaf edges per tree
 
   // BFS-packed mirror for the frontier kernel: one 16-byte record per
   // node, numbered breadth-first so siblings are adjacent and the right

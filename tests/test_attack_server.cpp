@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/cancel.hpp"
 #include "common/http.hpp"
 #include "common/parallel.hpp"
@@ -25,6 +25,8 @@
 
 namespace repro::core {
 namespace {
+
+using common::hex64;
 
 constexpr int kSplitLayer = 8;
 
@@ -55,10 +57,7 @@ const std::vector<std::string>& reference_digests() {
           AttackEngine::train(suite().training_for(fold), cfg);
       const AttackResult res =
           AttackEngine::test(model, suite().challenge(fold));
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(result_digest(res)));
-      out.push_back(buf);
+      out.push_back(hex64(result_digest(res)));
     }
     return out;
   }();
@@ -181,13 +180,6 @@ std::string shard_header(const common::http::Response& resp,
     if (k == name) return v;
   }
   return "";
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 TEST(AttackServer, ShardRouteAnswersRetriesIdempotently) {

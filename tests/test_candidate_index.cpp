@@ -7,50 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 
 #include "common/parallel.hpp"
 #include "core/attack.hpp"
 #include "core/candidate_index.hpp"
+#include "core/resilience.hpp"
 #include "synth/synth.hpp"
 #include "test_helpers.hpp"
 
 namespace repro::core {
 namespace {
-
-// FNV-1a over the complete observable result (mirrors bench_attack's
-// digest): any divergence in rankings, histograms or per-target stats
-// flips it.
-std::uint64_t digest(const AttackResult& res) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto mix_float = [&](float f) {
-    std::uint32_t bits;
-    static_assert(sizeof bits == sizeof f);
-    std::memcpy(&bits, &f, sizeof bits);
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(res.num_vpins()));
-  for (const VpinResult& r : res.per_vpin()) {
-    mix(static_cast<std::uint64_t>(r.num_evaluated));
-    mix_float(r.p_true);
-    mix_float(r.d_true);
-    for (std::uint32_t c : r.hist) mix(c);
-    for (const Candidate& c : r.top) {
-      mix(c.id);
-      mix_float(c.p);
-      mix_float(c.d);
-    }
-  }
-  return h;
-}
 
 /// Brute-force admitted-candidate list of `v`, ascending — the reference
 /// the index must reproduce exactly.
@@ -189,7 +157,7 @@ class DifferentialDigest : public ::testing::Test {
     for (int threads : {1, 8}) {
       common::set_global_threads(threads);
       for (const TrainedModel* m : {&brute, &indexed}) {
-        const std::uint64_t h = digest(AttackEngine::test(*m, target));
+        const std::uint64_t h = result_digest(AttackEngine::test(*m, target));
         if (first) {
           reference = h;
           first = false;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -426,6 +427,11 @@ TEST(ThreadInvariance, BaggingModelsAreBitIdentical) {
 }
 
 TEST(FlatForest, MatchesPointerWalkBitForBit) {
+  // BaggingClassifier::predict_proba walks the DecisionTree nodes and
+  // shares no code with FlatForest, so it is an independent reference for
+  // every batch kernel. Batch sizes straddle the AVX2 kernel's routing
+  // (n < kBlock walks row by row) and its masked tail; NaN features must
+  // go right in every path.
   const ml::Dataset data = invariance_dataset();
   const auto clf = ml::BaggingClassifier::train(
       data, ml::BaggingOptions::reptree_bagging(5));
@@ -433,23 +439,31 @@ TEST(FlatForest, MatchesPointerWalkBitForBit) {
   EXPECT_EQ(flat.num_trees(), clf.num_trees());
   std::mt19937_64 rng(123);
   std::uniform_real_distribution<double> u(-0.5, 1.5);
-  std::vector<double> rows;
-  std::vector<double> expected;
-  for (int i = 0; i < 500; ++i) {
-    const std::vector<double> x{u(rng), u(rng), u(rng)};
-    const double p_tree = clf.predict_proba(x);
-    const double p_flat = flat.predict_proba(x);
-    ASSERT_EQ(std::memcmp(&p_tree, &p_flat, sizeof p_tree), 0)
-        << "row " << i << ": " << p_tree << " vs " << p_flat;
-    rows.insert(rows.end(), x.begin(), x.end());
-    expected.push_back(p_tree);
+  for (const int n : {1, 7, 8, 9, 129, 500}) {
+    for (const bool with_nan : {false, true}) {
+      std::vector<double> rows;
+      std::vector<double> expected;
+      for (int i = 0; i < n; ++i) {
+        std::vector<double> x{u(rng), u(rng), u(rng)};
+        if (with_nan && i % 2 == 0) {
+          x[static_cast<std::size_t>(i % 3)] =
+              std::numeric_limits<double>::quiet_NaN();
+        }
+        const double p_tree = clf.predict_proba(x);
+        const double p_flat = flat.predict_proba(x);
+        ASSERT_EQ(std::memcmp(&p_tree, &p_flat, sizeof p_tree), 0)
+            << "row " << i << ": " << p_tree << " vs " << p_flat;
+        rows.insert(rows.end(), x.begin(), x.end());
+        expected.push_back(p_tree);
+      }
+      std::vector<double> batch(expected.size());
+      flat.predict_batch(rows.data(), n, 3, batch.data());
+      EXPECT_EQ(std::memcmp(batch.data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << "n=" << n << " nan=" << with_nan;
+    }
   }
-  std::vector<double> batch(expected.size());
-  flat.predict_batch(rows.data(), static_cast<int>(expected.size()), 3,
-                     batch.data());
-  EXPECT_EQ(std::memcmp(batch.data(), expected.data(),
-                        expected.size() * sizeof(double)),
-            0);
 }
 
 TEST(FlatForest, EmptyForestPredictsHalf) {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/checkpoint.hpp"
 #include "common/diagnostics.hpp"
 #include "common/http.hpp"
@@ -39,6 +40,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using common::DiagnosticSink;
+using common::hex64;
 using common::Status;
 using common::StatusOr;
 
@@ -119,13 +121,6 @@ std::string fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// The canned artifact bytes the fake fleet serves for a shard. The

@@ -53,6 +53,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/cancel.hpp"
 #include "common/http.hpp"
 #include "common/status.hpp"
@@ -182,12 +183,8 @@ std::string human_summary(const core::CampaignObsSnapshot& snap) {
     out += "\n";
   }
   if (!snap.rollup_json.empty()) {
-    char b[64];
-    std::snprintf(b, sizeof b, "%016llx",
-                  static_cast<unsigned long long>(snap.rollup_digest));
-    out += "metrics roll-up digest: ";
-    out += b;
-    out += "\n";
+    out += "metrics roll-up digest: " + common::hex64(snap.rollup_digest) +
+           "\n";
   }
   return out;
 }

@@ -100,6 +100,7 @@
 namespace {
 
 using namespace repro;
+using common::hex64;
 
 struct Args {
   std::string lef;
@@ -261,13 +262,6 @@ Args parse_args(int argc, char** argv) {
     arg_error(argv[0], "--fold only applies to --loo runs");
   }
   return a;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Combined fingerprint over per-design digests: FNV-1a of their

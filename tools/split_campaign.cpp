@@ -75,6 +75,7 @@
 namespace {
 
 using namespace repro;
+using common::hex64;
 
 /// One planted fault: shard id -> REPRO_FAULT spec, first attempt only
 /// unless every_attempt.
@@ -294,13 +295,6 @@ Args parse_args(int argc, char** argv) {
   if (a.layers.empty()) arg_error(argv[0], "--layers is required");
   if (a.campaign_dir.empty()) arg_error(argv[0], "--campaign-dir is required");
   return a;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Default worker binary: split_attack next to this executable.
