@@ -20,7 +20,10 @@
 #          hang fix: the next real request must still be served),
 #   4. SIGKILLs the daemon mid-request, restarts it on the same store,
 #      and asserts the previously trained fold is served from the store
-#      ("cache": "store") without retraining,
+#      ("cache": "store") without retraining, while the killed request's
+#      key retrains ("cache": "trained"): its store commit never became
+#      durable. The first daemon runs with REPRO_FAULT=hang:K, so that
+#      commit parks forever and the kill cannot race a fast trainer,
 #   5. SIGTERMs the daemon and asserts a clean drain (exit 0).
 #
 # scripts/ci.sh runs this under a hard `timeout`: a wedged serve loop
@@ -81,8 +84,13 @@ start_server() {
   fi
 }
 
+# Store commits the first daemon makes before step 4: one model per
+# demo fold (fold 0 cold, folds 1-4 in the concurrent pass). Commit
+# STORE_COMMITS is therefore step 4's, and hang:STORE_COMMITS parks it.
+STORE_COMMITS=5
+
 echo "== server: cold / warm / concurrent digest parity =="
-start_server "$OUT/serve1.log"
+REPRO_FAULT="hang:$STORE_COMMITS" start_server "$OUT/serve1.log"
 python3 - "$PORT" "$OUT/batch.json" <<'EOF'
 import json, sys, threading, urllib.request
 
@@ -162,15 +170,25 @@ print("   dribbled request parsed, silent client reaped, loop alive")
 EOF
 
 echo "== server: SIGKILL mid-request, restart serves from the store =="
-# Fire a request at an untrained fold so the kill lands mid-training.
-python3 - "$PORT" <<'EOF' &
-import json, sys, urllib.request
+MODELS=$(find "$OUT/store" -name 'model_*' | wc -l)
+[ "$MODELS" -eq "$STORE_COMMITS" ] || {
+  echo "FAIL: the store holds $MODELS models before the kill, not" \
+    "$STORE_COMMITS, so hang:$STORE_COMMITS would not park this commit"
+  exit 1
+}
+# A key this daemon has never trained: the request trains and then parks
+# in its store commit, so the kill lands mid-request however fast
+# training is. A response would mean the kill came too late.
+KILLED_KEY='{"fold": 2, "config": "Imp-11"}'
+python3 - "$PORT" "$KILLED_KEY" "$OUT/victim_answered" <<'EOF' &
+import sys, urllib.request
 try:
     req = urllib.request.Request(
         f"http://127.0.0.1:{sys.argv[1]}/score",
-        data=b'{"fold": 2}',
+        data=sys.argv[2].encode(),
         headers={"Content-Type": "application/json"}, method="POST")
     urllib.request.urlopen(req, timeout=600)
+    open(sys.argv[3], "w").close()
 except Exception:
     pass  # the kill below is expected to sever this request
 EOF
@@ -179,22 +197,34 @@ sleep 0.3
 kill -9 "$SRV"
 wait "$SRV" 2>/dev/null || true
 wait "$VICTIM_CLIENT" 2>/dev/null || true
+[ ! -e "$OUT/victim_answered" ] || {
+  echo "FAIL: the killed request was answered before the kill"
+  exit 1
+}
 
 start_server "$OUT/serve2.log"
-python3 - "$PORT" "$OUT/batch.json" <<'EOF'
+python3 - "$PORT" "$OUT/batch.json" "$KILLED_KEY" <<'EOF'
 import json, sys, urllib.request
 
-port, batch_path = sys.argv[1], sys.argv[2]
+port, batch_path, killed_key = sys.argv[1], sys.argv[2], sys.argv[3]
 folds = [row["digest"] for row in json.load(open(batch_path))["designs"]]
-req = urllib.request.Request(
-    f"http://127.0.0.1:{port}/score", data=b'{"fold": 0}',
-    headers={"Content-Type": "application/json"}, method="POST")
-resp = json.load(urllib.request.urlopen(req, timeout=600))
+
+def score(body):
+    req = urllib.request.Request(
+        f"http://127.0.0.1:{port}/score", data=body.encode(),
+        headers={"Content-Type": "application/json"}, method="POST")
+    return json.load(urllib.request.urlopen(req, timeout=600))
+
+resp = score('{"fold": 0}')
 assert resp["cache"] == "store", \
     f"expected a store hydration after restart, got {resp['cache']}"
 assert resp["digest"] == folds[0]
 print(f"   fold 0 hydrated from the store in "
       f"{resp['hydrate_seconds']:.3f}s, digest matches the batch CLI")
+killed = score(killed_key)
+assert killed["cache"] == "trained", \
+    f"the killed key's commit must not be durable, got {killed['cache']}"
+print("   the killed request's key retrains: its commit never landed")
 EOF
 
 echo "== server: SIGTERM drains cleanly =="

@@ -34,9 +34,12 @@ BaggingClassifier train_impl(const Dataset& data, const BaggingOptions& opt) {
   const int num_trees = std::max(0, opt.num_trees);
   std::vector<DecisionTree> trees(static_cast<std::size_t>(num_trees));
   const int n = data.num_rows();
+  // The ensemble's only sort: every feature's row order, computed once
+  // and shared read-only by all trees (see Presort).
+  const Presort order(data);
   // One scratch arena per pool worker, reused across the trees that
   // worker grows: the bootstrap sample vector and the tree builder's
-  // grow/prune/sort buffers are allocated once and recycled, instead of
+  // grow/prune/list buffers are allocated once and recycled, instead of
   // num_trees times each. Workers index arenas by current_worker_id(),
   // which is stable and unique per pool thread, so there is no sharing.
   std::vector<TreeScratch> arenas(
@@ -62,7 +65,7 @@ BaggingClassifier train_impl(const Dataset& data, const BaggingOptions& opt) {
           sample[static_cast<std::size_t>(i)] = pick(rng);
         }
         trees[static_cast<std::size_t>(t)] =
-            DecisionTree::train(data, opt.tree, rng, sample, scratch);
+            DecisionTree::train(data, order, opt.tree, rng, sample, scratch);
         // Per-tree bump for live telemetry progress (ml.trees_grown only
         // moves once per ensemble); commutative, so the total is still
         // thread-count invariant.

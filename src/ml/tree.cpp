@@ -19,11 +19,37 @@ double entropy(double pos, double neg) {
 
 }  // namespace
 
+Presort::Presort(const Dataset& data)
+    : rows_(static_cast<std::size_t>(data.num_rows())),
+      ids_(rows_ * static_cast<std::size_t>(data.num_features())) {
+  std::vector<std::pair<double, int>> col(rows_);
+  for (int f = 0; f < data.num_features(); ++f) {
+    for (int r = 0; r < data.num_rows(); ++r) {
+      col[static_cast<std::size_t>(r)] = {data.at(r, f), r};
+    }
+    // NaN sorts last, so the order stays strict-weak on any input.
+    std::sort(col.begin(), col.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first ||
+             (std::isnan(b.first) && !std::isnan(a.first));
+    });
+    int* out = ids_.data() + static_cast<std::size_t>(f) * rows_;
+    for (std::size_t i = 0; i < rows_; ++i) out[i] = col[i].second;
+  }
+}
+
+// Presorted split search. Every node's split search meets the same
+// distinct-value boundaries, in the same ascending order and with the same
+// integer-valued class counts, as sorting the node's (value, label) pairs
+// afresh would: tie order is invisible because a split only falls between
+// distinct values, and the boundary values themselves are equal. So every
+// gain, tie-break, threshold and RNG draw — and therefore the model — is
+// bit-identical to a per-node sort, at a fraction of the cost.
 class TreeBuilder {
  public:
-  TreeBuilder(const Dataset& data, const TreeOptions& opt,
-              std::mt19937_64& rng, TreeScratch& scratch)
-      : data_(data), opt_(opt), rng_(rng), s_(scratch) {}
+  TreeBuilder(const Dataset& data, const Presort& order,
+              const TreeOptions& opt, std::mt19937_64& rng,
+              TreeScratch& scratch)
+      : data_(data), order_(order), opt_(opt), rng_(rng), s_(scratch) {}
 
   DecisionTree build(std::span<const int> rows_in) {
     std::vector<int>& rows = s_.rows;
@@ -47,8 +73,29 @@ class TreeBuilder {
       grow.resize(grow.size() - n_prune);
     }
 
+    // The grow set's sorted lists, from one counting pass over the
+    // presort: each feature's rows in presorted order, every bootstrap
+    // duplicate repeated in place.
+    std::vector<int>& count = s_.count;
+    count.assign(static_cast<std::size_t>(data_.num_rows()), 0);
+    double pos = 0, neg = 0;
+    for (int r : grow) {
+      ++count[static_cast<std::size_t>(r)];
+      (data_.label(r) ? pos : neg) += 1;
+    }
+    grow_size_ = grow.size();
+    s_.lists.resize(grow_size_ * static_cast<std::size_t>(data_.num_features()));
+    for (int f = 0; f < data_.num_features(); ++f) {
+      int* out = list(f);
+      for (int r : order_.feature(f)) {
+        for (int k = count[static_cast<std::size_t>(r)]; k > 0; --k) *out++ = r;
+      }
+    }
+    s_.spill.resize(grow_size_);
+    s_.goes_left.resize(static_cast<std::size_t>(data_.num_rows()));
+
     nodes_ = &tree.nodes_;
-    build_node(grow, 0, static_cast<int>(grow.size()), 0);
+    build_node(0, static_cast<int>(grow_size_), 0, pos, neg);
 
     if (!prune.empty()) {
       // Route prune rows; collect per-node prune class counts.
@@ -70,15 +117,15 @@ class TreeBuilder {
   }
 
  private:
-  /// Builds the subtree for rows [lo, hi) of rows_ and returns its node id.
-  int build_node(std::vector<int>& rows, int lo, int hi, int depth) {
+  int* list(int f) {
+    return s_.lists.data() + static_cast<std::size_t>(f) * grow_size_;
+  }
+
+  /// Builds the subtree for entries [lo, hi) of every feature list, which
+  /// hold `pos` positive and `neg` negative rows, and returns its node id.
+  int build_node(int lo, int hi, int depth, double pos, double neg) {
     const int id = static_cast<int>(nodes_->size());
     nodes_->push_back(TreeNode{});
-
-    double pos = 0, neg = 0;
-    for (int i = lo; i < hi; ++i) {
-      (data_.label(rows[static_cast<std::size_t>(i)]) ? pos : neg) += 1;
-    }
     (*nodes_)[static_cast<std::size_t>(id)].pos = pos;
     (*nodes_)[static_cast<std::size_t>(id)].neg = neg;
 
@@ -89,8 +136,8 @@ class TreeBuilder {
     }
 
     // Candidate features. The scratch buffers are safe to share down
-    // the recursion: a node is completely done with feats/vals before it
-    // recurses into its children.
+    // the recursion: a node is completely done with feats, goes_left and
+    // spill before it recurses into its children.
     std::vector<int>& feats = s_.feats;
     if (opt_.num_random_features > 0 &&
         opt_.num_random_features < data_.num_features()) {
@@ -108,21 +155,15 @@ class TreeBuilder {
     int best_f = -1;
     double best_t = 0, best_gain = 1e-9;
 
-    std::vector<std::pair<double, int>>& vals = s_.vals;  // (value, label)
     for (int f : feats) {
-      vals.clear();
-      for (int i = lo; i < hi; ++i) {
-        const int r = rows[static_cast<std::size_t>(i)];
-        vals.emplace_back(data_.at(r, f), data_.label(r));
-      }
-      std::sort(vals.begin(), vals.end());
+      const int* ids = list(f) + lo;  // ascending by feature f
       double lp = 0, ln = 0;
+      double next = data_.at(ids[0], f);
       for (int i = 0; i + 1 < n; ++i) {
-        (vals[static_cast<std::size_t>(i)].second ? lp : ln) += 1;
-        if (vals[static_cast<std::size_t>(i)].first ==
-            vals[static_cast<std::size_t>(i + 1)].first) {
-          continue;  // can only split between distinct values
-        }
+        const double v = next;
+        next = data_.at(ids[i + 1], f);
+        (data_.label(ids[i]) ? lp : ln) += 1;
+        if (v == next) continue;  // can only split between distinct values
         const int nl = i + 1, nr = n - nl;
         if (nl < opt_.min_leaf || nr < opt_.min_leaf) continue;
         const double rp = pos - lp, rn = neg - ln;
@@ -131,30 +172,54 @@ class TreeBuilder {
         if (gain > best_gain) {
           best_gain = gain;
           best_f = f;
-          best_t = (vals[static_cast<std::size_t>(i)].first +
-                    vals[static_cast<std::size_t>(i + 1)].first) / 2.0;
+          best_t = (v + next) / 2.0;
         }
       }
     }
 
     if (best_f < 0) return id;  // no useful split
 
-    // Partition rows in place: < threshold to the left.
+    // Each row's side comes from the predicate x < t, never from the scan
+    // position: the midpoint of two adjacent doubles can round onto the
+    // lower one, which then goes right. All copies of a bootstrap row
+    // share one flag.
+    std::uint8_t* goes_left = s_.goes_left.data();
+    const int* best_ids = list(best_f);
     int mid = lo;
+    double lpos = 0, lneg = 0;
     for (int i = lo; i < hi; ++i) {
-      if (data_.at(rows[static_cast<std::size_t>(i)], best_f) < best_t) {
-        std::swap(rows[static_cast<std::size_t>(i)],
-                  rows[static_cast<std::size_t>(mid)]);
+      const int r = best_ids[i];
+      goes_left[r] = data_.at(r, best_f) < best_t;
+      if (goes_left[r]) {
         ++mid;
+        (data_.label(r) ? lpos : lneg) += 1;
       }
     }
     if (mid == lo || mid == hi) return id;  // numerically degenerate
 
+    // Stable partition of every feature's list: the left rows keep their
+    // order in [lo, mid), the right rows theirs in [mid, hi), so both
+    // children's lists stay sorted.
+    int* spill = s_.spill.data();
+    for (int f = 0; f < data_.num_features(); ++f) {
+      int* ids = list(f);
+      int w = lo, k = 0;
+      for (int i = lo; i < hi; ++i) {
+        const int r = ids[i];
+        const int l = goes_left[r];
+        ids[w] = r;  // w <= i: never overwrites an unread entry
+        spill[k] = r;
+        w += l;
+        k += 1 - l;
+      }
+      std::copy(spill, spill + k, ids + w);
+    }
+
     (*nodes_)[static_cast<std::size_t>(id)].feature = best_f;
     (*nodes_)[static_cast<std::size_t>(id)].threshold = best_t;
-    const int left = build_node(rows, lo, mid, depth + 1);
+    const int left = build_node(lo, mid, depth + 1, lpos, lneg);
     (*nodes_)[static_cast<std::size_t>(id)].left = left;
-    const int right = build_node(rows, mid, hi, depth + 1);
+    const int right = build_node(mid, hi, depth + 1, pos - lpos, neg - lneg);
     (*nodes_)[static_cast<std::size_t>(id)].right = right;
     return id;
   }
@@ -196,24 +261,27 @@ class TreeBuilder {
   }
 
   const Dataset& data_;
+  const Presort& order_;
   const TreeOptions& opt_;
   std::mt19937_64& rng_;
   TreeScratch& s_;
   std::vector<TreeNode>* nodes_ = nullptr;
+  std::size_t grow_size_ = 0;  // length of each feature list
 };
 
 DecisionTree DecisionTree::train(const Dataset& data, const TreeOptions& opt,
                                  std::mt19937_64& rng,
                                  std::span<const int> rows) {
+  const Presort order(data);
   TreeScratch scratch;
-  return train(data, opt, rng, rows, scratch);
+  return train(data, order, opt, rng, rows, scratch);
 }
 
-DecisionTree DecisionTree::train(const Dataset& data, const TreeOptions& opt,
-                                 std::mt19937_64& rng,
+DecisionTree DecisionTree::train(const Dataset& data, const Presort& order,
+                                 const TreeOptions& opt, std::mt19937_64& rng,
                                  std::span<const int> rows,
                                  TreeScratch& scratch) {
-  TreeBuilder b(data, opt, rng, scratch);
+  TreeBuilder b(data, order, opt, rng, scratch);
   return b.build(rows);
 }
 

@@ -45,24 +45,53 @@ struct TreeNode {
   bool is_leaf() const { return feature < 0; }
 };
 
-/// Reusable training scratch. Growing one tree needs half a dozen
-/// temporary vectors (row ids, grow/prune partitions, per-node sorted
-/// (value, label) pairs, candidate feature lists); allocating them fresh
-/// per tree — worse, per *node* for the split-finding buffers — made the
-/// allocator the contention point of parallel ensemble training. A
-/// TreeScratch owns all of them and is reused across trees; ensemble
-/// trainers keep one instance per worker thread (bagging.cpp), so the
-/// hot loop allocates only when a tree outgrows every previous tree on
-/// that worker. Contents are fully overwritten on every use — reuse
-/// cannot leak state between trees, and results are bit-identical with
-/// or without a shared scratch.
+/// Every feature's row ids in ascending order of value: the attribute
+/// lists of the presorted split search (SLIQ; Weka's REPTree grows the
+/// same way). Sorting is the only O(n log n) step of tree growth, so it
+/// happens once per dataset — once per ensemble in BaggingClassifier::
+/// train — and the result is read-only afterwards, shared by every tree
+/// and every worker thread.
+class Presort {
+ public:
+  explicit Presort(const Dataset& data);
+
+  /// Row ids of the dataset ascending by the value of feature f (NaN
+  /// last; equal values in unspecified order).
+  std::span<const int> feature(int f) const {
+    return {ids_.data() + static_cast<std::size_t>(f) * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_;
+  std::vector<int> ids_;  // feature f at [f * rows_, (f + 1) * rows_)
+};
+
+/// Reusable training scratch. Growing one tree needs a handful of
+/// temporary vectors (row ids, grow/prune partitions, the grow set's
+/// per-feature sorted lists, candidate feature lists); allocating them
+/// fresh per tree made the allocator the contention point of parallel
+/// ensemble training. A TreeScratch owns all of them and is reused
+/// across trees; ensemble trainers keep one instance per worker thread
+/// (bagging.cpp), so the hot loop allocates only when a tree outgrows
+/// every previous tree on that worker. Contents are fully overwritten on
+/// every use — reuse cannot leak state between trees, and results are
+/// bit-identical with or without a shared scratch.
+///
+/// `lists` holds one list per feature, each |grow| row ids long and laid
+/// out back to back: feature f's list at [f * |grow|, (f + 1) * |grow|).
+/// A node owns the same range [lo, hi) of every list, sorted by that
+/// list's feature; splitting the node stably partitions every list's
+/// range into its children's, so no node ever sorts.
 struct TreeScratch {
   std::vector<int> rows;        ///< the tree's training row ids
   std::vector<int> grow;        ///< grow partition (REP holds out prune)
   std::vector<int> prune;       ///< held-out prune rows
   std::vector<int> feats;       ///< candidate features of the current node
   std::vector<int> feat_pool;   ///< all feature ids, for random subsets
-  std::vector<std::pair<double, int>> vals;  ///< (value, label) sort buffer
+  std::vector<int> lists;       ///< per-feature sorted grow-row ids
+  std::vector<int> spill;       ///< right-going ids while partitioning
+  std::vector<int> count;       ///< multiplicity of each dataset row in grow
+  std::vector<std::uint8_t> goes_left;  ///< per dataset row: side of split
   std::vector<long> prune_pos;  ///< per-node prune-set class counts
   std::vector<long> prune_neg;
   std::vector<int> sample;      ///< bootstrap resample ids (bagging)
@@ -70,16 +99,18 @@ struct TreeScratch {
 
 class DecisionTree {
  public:
-  /// Trains a tree on the given rows of `data` (all rows if `rows` empty).
+  /// Trains a tree on the given rows of `data` (all rows if `rows` empty;
+  /// repeated ids count once per occurrence, as in a bootstrap sample).
   static DecisionTree train(const Dataset& data, const TreeOptions& opt,
                             std::mt19937_64& rng,
                             std::span<const int> rows = {});
 
-  /// train with caller-provided scratch buffers (see TreeScratch); the
-  /// result is bit-identical to the scratch-free overload.
-  static DecisionTree train(const Dataset& data, const TreeOptions& opt,
-                            std::mt19937_64& rng, std::span<const int> rows,
-                            TreeScratch& scratch);
+  /// train with a caller-provided presort of `data` and scratch buffers
+  /// (see Presort, TreeScratch); the result is bit-identical to the
+  /// overload above, which builds both itself.
+  static DecisionTree train(const Dataset& data, const Presort& order,
+                            const TreeOptions& opt, std::mt19937_64& rng,
+                            std::span<const int> rows, TreeScratch& scratch);
 
   /// Rebuilds a tree from stored nodes (model deserialization). The
   /// caller vouches that child indices are in range and the node at
