@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
 
   bench::print_title("attack scaling harness (config " + cfg.name +
                      ", split " + std::to_string(split_layer) + ", scale " +
-                     bench::num(bench::suite_scale(), 2) + ")");
+                     bench::num(repro::synth::scale_from_env(), 2) + ")");
   std::printf("%8s %13s %13s %12s %12s %10s %9s  %s\n", "threads",
               "train sum (s)", "score sum (s)", "train w (s)", "score w (s)",
               "total (s)", "speedup", "digest");
@@ -644,7 +644,7 @@ int main(int argc, char** argv) {
           .field("bench", std::string("attack"))
           .field("config", cfg.name)
           .field("split_layer", split_layer)
-          .field("suite_scale", bench::suite_scale())
+          .field("suite_scale", repro::synth::scale_from_env())
           .field("designs", static_cast<long>(suite.size()))
           .field("threads_available", available)
           .field_raw("runs", bench::json_array(run_json))

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
 
   bench::print_title("attack server harness (config " + cfg.name +
                      ", split " + std::to_string(split_layer) + ", scale " +
-                     bench::num(bench::suite_scale(), 2) + ", " +
+                     bench::num(repro::synth::scale_from_env(), 2) + ", " +
                      std::to_string(folds) + " folds)");
 
   // Ground truth: the same models and scores the batch CLI computes,
@@ -360,7 +360,7 @@ int main(int argc, char** argv) {
           .field("bench", std::string("server"))
           .field("config", cfg.name)
           .field("split_layer", split_layer)
-          .field("suite_scale", bench::suite_scale())
+          .field("suite_scale", repro::synth::scale_from_env())
           .field("folds", static_cast<unsigned long>(folds))
           .field("threads_available", available)
           .field_raw("cold", cold_json)

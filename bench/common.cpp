@@ -2,25 +2,17 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
 namespace bench {
 
-double suite_scale() {
-  if (const char* s = std::getenv("REPRO_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0) return v;
-  }
-  return 1.0;
-}
-
 const std::vector<repro::synth::SynthDesign>& suite() {
   static const std::vector<repro::synth::SynthDesign> designs = [] {
+    const double scale = repro::synth::scale_from_env();
     std::fprintf(stderr, "[bench] generating %zu designs (scale %.2f)...\n",
-                 repro::synth::preset_names().size(), suite_scale());
-    auto d = repro::synth::generate_benchmark_suite(suite_scale());
+                 repro::synth::preset_names().size(), scale);
+    auto d = repro::synth::generate_benchmark_suite(scale);
     std::fprintf(stderr, "[bench] suite ready\n");
     return d;
   }();

@@ -13,12 +13,9 @@
 
 namespace bench {
 
-/// Suite scale factor; override with env REPRO_SCALE (e.g. 0.5 for quick
-/// runs). Default 1.0.
-double suite_scale();
-
-/// The five generated designs (sb1, sb5, sb10, sb12, sb18); generated on
-/// first use and cached for the process lifetime.
+/// The five generated designs (sb1, sb5, sb10, sb12, sb18) at the
+/// REPRO_SCALE suite scale (synth::scale_from_env, e.g. 0.5 for quick
+/// runs); generated on first use and cached for the process lifetime.
 const std::vector<repro::synth::SynthDesign>& suite();
 
 /// Challenges for one split layer (cached per layer).

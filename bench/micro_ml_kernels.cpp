@@ -8,28 +8,22 @@
 // Row counts honor REPRO_SCALE (same env as the table benches).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "common/parallel.hpp"
 #include "core/features.hpp"
 #include "ml/bagging.hpp"
 #include "ml/serialize.hpp"
+#include "synth/synth.hpp"
 
 namespace {
 
 using namespace repro;
 
-/// REPRO_SCALE multiplier for the sized benches (default 1.0).
-double scale() {
-  if (const char* s = std::getenv("REPRO_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0) return v;
-  }
-  return 1.0;
+/// A row count multiplied by the REPRO_SCALE suite scale.
+int scaled(int n) {
+  return std::max(64, static_cast<int>(n * synth::scale_from_env()));
 }
-
-int scaled(int n) { return std::max(64, static_cast<int>(n * scale())); }
 
 ml::Dataset synthetic_dataset(int rows, int features, std::uint64_t seed) {
   std::vector<std::string> names;

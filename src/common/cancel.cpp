@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 
 namespace repro::common {
 
 namespace {
+
+void handle_stop_signal(int) { global_cancel_token().request_cancel(); }
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -38,6 +41,11 @@ void CancelToken::reset() {
 CancelToken& global_cancel_token() {
   static CancelToken token;
   return token;
+}
+
+void install_stop_signals() {
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
 }
 
 const char* to_string(BudgetPressure p) {

@@ -8,8 +8,9 @@
 // the invariant that makes checkpoint flushing after cancellation safe.
 //
 // request_cancel() is async-signal-safe (a relaxed atomic store), so the
-// SIGINT/SIGTERM handler in split_attack can call it directly; the
-// human-readable reason is attached from normal context only.
+// SIGINT/SIGTERM handler install_stop_signals() sets up can call it
+// directly; the human-readable reason is attached from normal context
+// only.
 //
 // A Budget bounds a run by wall-clock deadline and/or peak RSS. It is
 // *checked*, not enforced: callers ask `pressure()` at phase boundaries
@@ -52,6 +53,11 @@ class CancelToken {
 /// into their RunControl so ^C unwinds through the same cooperative
 /// path as a deadline.
 CancelToken& global_cancel_token();
+
+/// Routes SIGINT and SIGTERM to global_cancel_token(): a signal requests
+/// the same cooperative stop as an exhausted budget, and the tool
+/// unwinds at its next safe point.
+void install_stop_signals();
 
 /// How hard a budget is being pressed at a checkpoint.
 enum class BudgetPressure {

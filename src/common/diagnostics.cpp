@@ -69,9 +69,11 @@ std::string DiagnosticSink::summary() const {
 }
 
 void DiagnosticSink::print(std::ostream& os) const {
-  for (const Diagnostic& d : diags_) os << d.to_string() << '\n';
+  for (const Diagnostic& d : diags_) {
+    if (d.severity >= Severity::kWarning) os << "  " << d.to_string() << '\n';
+  }
   if (dropped() > 0) {
-    os << "... " << dropped() << " further diagnostics not stored\n";
+    os << "  ... " << dropped() << " further diagnostics not stored\n";
   }
 }
 

@@ -83,7 +83,8 @@ class DiagnosticSink {
   /// "2 errors, 1 warning" (omits empty categories; "clean" when empty).
   std::string summary() const;
 
-  /// Writes every stored diagnostic, one per line.
+  /// Writes every stored warning, error and fatal diagnostic, one per
+  /// indented line, then how many further diagnostics the cap dropped.
   void print(std::ostream& os) const;
 
   void clear();

@@ -13,10 +13,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "common/binio.hpp"
 #include "common/fault.hpp"
+#include "common/flags.hpp"
 #include "common/parallel.hpp"
 
 namespace repro::common::http {
@@ -479,10 +481,8 @@ StatusOr<Endpoint> parse_endpoint(const std::string& text) {
   const std::string num =
       colon == std::string::npos ? text : text.substr(colon + 1);
   if (host.empty()) host = "127.0.0.1";
-  char* end = nullptr;
-  const long port = std::strtol(num.c_str(), &end, 10);
-  if (num.empty() || end != num.c_str() + num.size() || port < 1 ||
-      port > 65535) {
+  const std::optional<long long> port = parse_int(num, 1, 65535);
+  if (!port) {
     return Status::InvalidArgument("endpoint '" + text +
                                    "' is not host:port");
   }
@@ -492,7 +492,7 @@ StatusOr<Endpoint> parse_endpoint(const std::string& text) {
                                    "' is not an IPv4 literal");
   }
   ep.host = host;
-  ep.port = static_cast<int>(port);
+  ep.port = static_cast<int>(*port);
   return ep;
 }
 
@@ -677,15 +677,14 @@ double retry_backoff_ms(const RetryPolicy& policy, int attempt) {
 
 namespace {
 
-/// Integer seconds from a Retry-After header value; -1 when absent or
-/// not a plain number (HTTP dates are out of scope for this client).
+/// Integer seconds from a Retry-After header value, at most one day; -1
+/// when absent, not a plain number (HTTP dates are out of scope for this
+/// client), or larger. The bound keeps the honoured delay far from the
+/// int64 nanoseconds the sleep deadline is computed in.
 long retry_after_seconds(const Response& resp) {
   const std::string* v = resp.header("retry-after");
   if (v == nullptr) return -1;
-  char* end = nullptr;
-  const long s = std::strtol(v->c_str(), &end, 10);
-  if (v->empty() || end != v->c_str() + v->size() || s < 0) return -1;
-  return s;
+  return static_cast<long>(parse_int(*v, 0, 86400).value_or(-1));
 }
 
 bool retryable_status(int status) {

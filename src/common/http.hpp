@@ -247,7 +247,8 @@ StatusOr<Response> parse_response(std::string_view raw);
 
 /// Retry policy for fetch_with_retry. Failed attempts back off with
 /// deterministic jittered exponential delays; a server `Retry-After`
-/// (integer seconds) raises the planned delay when larger.
+/// (integer seconds, at most 86400; a larger or malformed value is
+/// ignored) raises the planned delay when larger.
 struct RetryPolicy {
   int max_attempts = 3;              ///< total tries per call (>= 1)
   double backoff_base_ms = 50.0;     ///< first retry delay, pre-jitter
@@ -278,8 +279,10 @@ double retry_backoff_ms(const RetryPolicy& policy, int attempt);
 
 /// One logical request with bounded retries. Retries on transport
 /// errors (connect refused/timeout, torn read) and on 408/429/5xx
-/// responses, honoring Retry-After; retries also when the response
-/// carries an `X-Payload-Fnv` header that does not match the FNV-1a
+/// responses, honoring a Retry-After of at most one day (86400 s; a
+/// larger one is ignored like a malformed one, and the planned backoff
+/// applies); retries also when the response carries an
+/// `X-Payload-Fnv` header that does not match the FNV-1a
 /// digest of the received body (a torn or garbled payload). Any other
 /// response is returned as-is. REPRO_FAULT net_refuse/net_truncate/
 /// net_delay/net_garble faults are applied here, one per attempt.

@@ -314,29 +314,12 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
                   .count();
         }
       }
-      ++snap.shards_total;
-      switch (st.status) {
-        case ShardStatus::kOk: ++snap.shards_ok; break;
-        case ShardStatus::kRunning: ++snap.shards_running; break;
-        case ShardStatus::kPending: ++snap.shards_pending; break;
-        case ShardStatus::kQuarantined: ++snap.shards_quarantined; break;
-      }
       if (st.stalled) snap.stalled_shards.push_back(row.id);
       snap.rows.push_back(std::move(row));
     }
-    snap.finished = snap.shards_running == 0 && snap.shards_pending == 0;
-    snap.complete =
-        snap.shards_ok == snap.shards_total && snap.shards_total > 0;
-    if (!final_mode) {
-      snap.elapsed_s =
-          std::chrono::duration<double>(Clock::now() - campaign_start)
-              .count();
-      const int done = snap.shards_ok + snap.shards_quarantined;
-      const int remaining = snap.shards_total - done;
-      if (done > 0 && remaining > 0) {
-        snap.eta_s = snap.elapsed_s * remaining / done;
-      }
-    }
+    const double elapsed_s =
+        std::chrono::duration<double>(Clock::now() - campaign_start).count();
+    compute_totals(&snap, final_mode ? -1 : elapsed_s);
     if (remote_ != nullptr) {
       snap.remote = true;
       snap.remote_stats = remote_->remote_stats();

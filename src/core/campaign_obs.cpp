@@ -101,6 +101,27 @@ std::string render_row(const ShardObsRow& row, bool final_mode) {
 
 }  // namespace
 
+void compute_totals(CampaignObsSnapshot* snap, double elapsed_s) {
+  snap->shards_total = static_cast<int>(snap->rows.size());
+  snap->shards_ok = snap->shards_running = snap->shards_pending =
+      snap->shards_quarantined = 0;
+  for (const ShardObsRow& row : snap->rows) {
+    if (row.status == "ok") ++snap->shards_ok;
+    if (row.status == "running") ++snap->shards_running;
+    if (row.status == "pending") ++snap->shards_pending;
+    if (row.status == "quarantined") ++snap->shards_quarantined;
+  }
+  snap->finished = snap->shards_running == 0 && snap->shards_pending == 0;
+  snap->complete = snap->shards_ok == snap->shards_total &&
+                   snap->shards_total > 0;
+  snap->elapsed_s = elapsed_s;
+  const int done = snap->shards_ok + snap->shards_quarantined;
+  const int remaining = snap->shards_total - done;
+  snap->eta_s = elapsed_s >= 0 && done > 0 && remaining > 0
+                    ? elapsed_s * remaining / done
+                    : -1;
+}
+
 std::string render_campaign_status(const CampaignObsSnapshot& snap,
                                    bool final_mode) {
   std::vector<std::string> rows;
@@ -424,23 +445,7 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
       snap.stalled_shards.push_back(row.id);
     }
   }
-  for (const ShardObsRow& row : snap.rows) {
-    ++snap.shards_total;
-    if (row.status == "ok") ++snap.shards_ok;
-    if (row.status == "running") ++snap.shards_running;
-    if (row.status == "pending") ++snap.shards_pending;
-    if (row.status == "quarantined") ++snap.shards_quarantined;
-  }
-  snap.finished = snap.shards_running == 0 && snap.shards_pending == 0;
-  snap.complete = snap.shards_ok == snap.shards_total && snap.shards_total > 0;
-  if (first_t > 0) {
-    snap.elapsed_s = std::max(0.0, now - first_t);
-    const int done = snap.shards_ok + snap.shards_quarantined;
-    const int remaining = snap.shards_total - done;
-    if (done > 0 && remaining > 0) {
-      snap.eta_s = snap.elapsed_s * remaining / done;
-    }
-  }
+  compute_totals(&snap, first_t > 0 ? std::max(0.0, now - first_t) : -1);
 
   if (snap.complete) {
     std::vector<std::string> paths;
@@ -529,14 +534,9 @@ void refresh_volatile(CampaignObsSnapshot* snap, double now_s,
       snap->stalled_shards.push_back(row.id);
     }
   }
-  if (snap->first_t > 0) {
-    snap->elapsed_s = std::max(0.0, now_s - snap->first_t);
-    const int done = snap->shards_ok + snap->shards_quarantined;
-    const int remaining = snap->shards_total - done;
-    snap->eta_s = (done > 0 && remaining > 0)
-                      ? snap->elapsed_s * remaining / done
-                      : -1;
-  }
+  compute_totals(snap, snap->first_t > 0
+                          ? std::max(0.0, now_s - snap->first_t)
+                          : -1);
 }
 
 CampaignWatcher::Fingerprint CampaignWatcher::fingerprint(

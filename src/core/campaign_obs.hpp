@@ -119,6 +119,14 @@ struct CampaignObsSnapshot {
   std::vector<RemoteEndpointObs> remote_endpoints;
 };
 
+/// Derives a snapshot's totals from its rows: the per-status shard
+/// counts, `finished` and `complete`, and from the campaign's elapsed
+/// wall time (< 0 = unknown) `elapsed_s` and the naive ETA,
+/// elapsed × remaining / done (-1 while no shard is done or once none
+/// remain). The supervisor, scan_campaign_dir and refresh_volatile all
+/// call it, so the live and the file-only views agree.
+void compute_totals(CampaignObsSnapshot* snap, double elapsed_s);
+
 /// Renders the status document. `final_mode` drops every volatile field
 /// (ages, RSS, progress, ETA) so the output is run-to-run deterministic.
 std::string render_campaign_status(const CampaignObsSnapshot& snap,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -404,6 +405,12 @@ std::vector<SynthDesign> generate_benchmark_suite(double scale) {
     out.push_back(generate(p));
   }
   return out;
+}
+
+double scale_from_env() {
+  const char* s = std::getenv("REPRO_SCALE");
+  const double v = s != nullptr ? std::atof(s) : 0.0;
+  return v > 0 ? v : 1.0;
 }
 
 }  // namespace repro::synth

@@ -65,4 +65,9 @@ std::vector<std::string> preset_names();
 /// preset cell counts (1.0 = the calibrated default used by the benches).
 std::vector<SynthDesign> generate_benchmark_suite(double scale = 1.0);
 
+/// The suite scale the REPRO_SCALE environment variable asks for (read
+/// with atof); 1.0 when it is unset or not positive. The tools' --demo
+/// suites and the benches shrink with it, which keeps CI checks fast.
+double scale_from_env();
+
 }  // namespace repro::synth

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -528,6 +529,51 @@ TEST(HttpRetry, HonorsRetryAfterAndStopsOnSuccess) {
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_TRUE(waits[0].honored);          // server minimum won
   EXPECT_EQ(waits[0].delay_ms, 2000.0);   // Retry-After: 2
+}
+
+TEST(HttpRetry, RetryAfterAboveOneDayIsIgnored) {
+  // 99999999999999999999 saturates a bare strtol; 9300000000 s does not,
+  // but as a deadline in int64 nanoseconds it overflows all the same.
+  // Both, like anything above 86400, must leave the planned backoff in
+  // force; 86400 itself is honored.
+  const std::pair<const char*, bool> kCases[] = {
+      {"99999999999999999999", false},
+      {"9300000000", false},
+      {"86401", false},
+      {"86400", true},
+  };
+  for (const auto& [value, honored] : kCases) {
+    SCOPED_TRACE(value);
+    std::atomic<int> hits{0};
+    auto server = Server::start(Server::Options{}, [&](const Request&) {
+      Response resp;
+      if (hits.fetch_add(1) == 0) {
+        resp.status = 503;
+        resp.extra_headers.emplace_back("Retry-After", value);
+      }
+      return resp;
+    });
+    ASSERT_TRUE(server.ok());
+    Endpoint ep;
+    ep.port = (*server)->port();
+    RetryPolicy policy;
+    policy.max_attempts = 2;
+    policy.backoff_base_ms = 1;
+    policy.backoff_max_ms = 4;
+    policy.skip_sleep = true;
+    std::vector<std::pair<double, bool>> waits;
+    policy.on_backoff = [&](int, double delay_ms, bool h) {
+      waits.emplace_back(delay_ms, h);
+    };
+    auto resp = fetch_with_retry(ep, "GET", "/", "", policy);
+    (*server)->stop();
+    ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+    EXPECT_EQ(resp->status, 200);
+    ASSERT_EQ(waits.size(), 1u);
+    EXPECT_EQ(waits[0].second, honored);
+    EXPECT_EQ(waits[0].first,
+              honored ? 86400.0 * 1000 : retry_backoff_ms(policy, 1));
+  }
 }
 
 TEST(HttpRetry, NonRetryableStatusReturnsImmediately) {

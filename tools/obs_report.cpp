@@ -8,9 +8,8 @@
 // supervisor beyond those files, so it can watch a campaign owned by
 // another process, or autopsy a directory whose campaign died days ago.
 //
-// Usage:
-//   obs_report --campaign-dir DIR [--once] [--json]
-//              [--serve PORT] [--stall-after-s S] [--read-deadline-s S]
+// Example (any usage error prints the full flag list):
+//   obs_report --campaign-dir DIR --serve 0
 //
 //   --once           print the summary and exit 0 (default behaviour
 //                    when --serve is absent; the flag exists so scripts
@@ -46,8 +45,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -55,6 +52,7 @@
 
 #include "common/binio.hpp"
 #include "common/cancel.hpp"
+#include "common/flags.hpp"
 #include "common/http.hpp"
 #include "common/status.hpp"
 #include "core/campaign_obs.hpp"
@@ -72,62 +70,19 @@ struct Args {
   double read_deadline_s = 5.0;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --campaign-dir DIR [--once] [--json] "
-               "[--serve PORT] [--stall-after-s S] [--read-deadline-s S]\n",
-               argv0);
-  std::exit(2);
-}
-
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", flag.c_str());
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    const auto parse_num = [&](const char* what, double lo,
-                               double hi) -> double {
-      const std::string v = value();
-      char* end = nullptr;
-      const double x = std::strtod(v.c_str(), &end);
-      if (v.empty() || end != v.c_str() + v.size() || !(x >= lo && x <= hi)) {
-        std::fprintf(stderr, "error: %s expects a number in [%g, %g]\n", what,
-                     lo, hi);
-        usage(argv[0]);
-      }
-      return x;
-    };
-    if (flag == "--campaign-dir") {
-      a.campaign_dir = value();
-    } else if (flag == "--once") {
-      a.once = true;
-    } else if (flag == "--json") {
-      a.json = true;
-    } else if (flag == "--serve") {
-      a.serve_port = static_cast<int>(parse_num("--serve", 0, 65535));
-    } else if (flag == "--stall-after-s") {
-      a.stall_after_s = parse_num("--stall-after-s", 0, 1e7);
-    } else if (flag == "--read-deadline-s") {
-      a.read_deadline_s = parse_num("--read-deadline-s", 0.01, 3600);
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
-      usage(argv[0]);
-    }
-  }
-  if (a.campaign_dir.empty()) {
-    std::fprintf(stderr, "error: --campaign-dir is required\n");
-    usage(argv[0]);
-  }
+  common::FlagTable flags(argv[0]);
+  flags.text("--campaign-dir", "DIR", &a.campaign_dir)
+      .flag("--once", &a.once)
+      .flag("--json", &a.json)
+      .integer("--serve", "PORT", &a.serve_port, 0, 65535)
+      .number("--stall-after-s", "S", &a.stall_after_s, 0, 1e7)
+      .number("--read-deadline-s", "S", &a.read_deadline_s, 0.01, 3600);
+  flags.parse_or_exit(argc, argv);
+  if (a.campaign_dir.empty()) flags.fail("--campaign-dir is required");
   return a;
 }
-
-void handle_stop_signal(int) { common::global_cancel_token().request_cancel(); }
 
 std::string human_summary(const core::CampaignObsSnapshot& snap) {
   std::string out;
@@ -261,8 +216,7 @@ int serve(const Args& args, common::CancelToken& cancel) {
 
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
+  common::install_stop_signals();
   std::signal(SIGPIPE, SIG_IGN);  // a vanished scrape client is not fatal
 
   auto snap = core::scan_campaign_dir(args.campaign_dir, args.stall_after_s);

@@ -4,15 +4,9 @@
 // files (as produced by lefdef::write_lef / write_def, e.g. via the
 // attack_from_def example or an external flow emitting the same subset).
 //
-// Usage:
+// Example (any usage error prints the full flag list):
 //   split_attack --lef tech.lef --split 8 --config Imp-9Y
 //                --train a.def --train b.def --victim victim.def
-//                [--threads N] [--threshold 0.5] [--out loc.csv] [--pa]
-//                [--strict] [--no-validate] [--no-repair] [--demo]
-//                [--trace-out t.json] [--metrics-out m.json]
-//                [--report-out r.json] [--obs-logical-time]
-//                [--checkpoint-dir DIR] [--resume] [--deadline-s S]
-//                [--max-rss-mb N] [--digest-out JSON] [--fold K]
 //
 // Crash safety and budgets: --checkpoint-dir records completed work
 // (per-fold trained models and fold results in --loo mode, the victim
@@ -68,17 +62,12 @@
 // Exit codes: 0 success, 1 runtime failure, 2 usage error,
 // 3 interrupted (signal or exhausted budget; partial state was flushed),
 // 4 complete but degraded (--fold worker mode only).
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,6 +75,7 @@
 #include "common/cancel.hpp"
 #include "common/checkpoint.hpp"
 #include "common/diagnostics.hpp"
+#include "common/flags.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
 #include "common/parallel.hpp"
@@ -128,139 +118,52 @@ struct Args {
   double deadline_s = 0;  ///< 0 = no wall-clock budget
   int max_rss_mb = 0;     ///< 0 = no memory budget
   std::string digest_out;
-  std::int64_t fold = -1;  ///< >= 0: run only this LOO fold (shard worker)
+  int fold = -1;  ///< >= 0: run only this LOO fold (shard worker)
 
   bool obs_enabled() const {
     return !trace_out.empty() || !metrics_out.empty() || !report_out.empty();
   }
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --lef FILE --split N --config NAME --train FILE... "
-      "--victim FILE [--threads N] [--threshold T] [--out CSV] [--pa] "
-      "[--loo] [--strict] [--no-validate] [--no-repair] [--trace-out JSON] "
-      "[--metrics-out JSON] [--report-out JSON] [--telemetry-out JSONL] "
-      "[--heartbeat-s S] [--obs-logical-time] "
-      "[--checkpoint-dir DIR] [--resume] [--deadline-s S] [--max-rss-mb N] "
-      "[--digest-out JSON] [--fold K] | --demo\n",
-      argv0);
-  std::exit(2);
-}
-
-[[noreturn]] void arg_error(const char* argv0, const std::string& msg) {
-  std::fprintf(stderr, "error: %s\n", msg.c_str());
-  usage(argv0);
-}
-
-/// Whole-string integer parse: rejects trailing garbage, empty strings,
-/// and values outside [lo, hi].
-int parse_int(const char* argv0, const std::string& flag,
-              const std::string& s, long lo, long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
-    arg_error(argv0, flag + " expects an integer, got '" + s + "'");
-  }
-  if (v < lo || v > hi) {
-    arg_error(argv0, flag + " must be in [" + std::to_string(lo) + ", " +
-                         std::to_string(hi) + "], got " + s);
-  }
-  return static_cast<int>(v);
-}
-
-/// Whole-string double parse with range check; rejects NaN.
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& s, double lo, double hi) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      !(v >= lo && v <= hi)) {  // !(..) also rejects NaN
-    arg_error(argv0, flag + " expects a number in [" + std::to_string(lo) +
-                         ", " + std::to_string(hi) + "], got '" + s + "'");
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        arg_error(argv[0], flag + " expects a value");
-      }
-      return argv[++i];
-    };
-    if (flag == "--lef") {
-      a.lef = value();
-    } else if (flag == "--train") {
-      a.train.push_back(value());
-    } else if (flag == "--victim") {
-      a.victim = value();
-    } else if (flag == "--split") {
-      // Upper bound re-checked against the parsed technology's via stack.
-      a.split = parse_int(argv[0], flag, value(), 1, 64);
-    } else if (flag == "--config") {
-      a.config = value();
-    } else if (flag == "--threads") {
-      a.threads = parse_int(argv[0], flag, value(), 0, 1024);
-    } else if (flag == "--threshold") {
-      a.threshold = parse_double(argv[0], flag, value(), 0.0, 1.0);
-    } else if (flag == "--out") {
-      a.out = value();
-    } else if (flag == "--pa") {
-      a.pa = true;
-    } else if (flag == "--demo") {
-      a.demo = true;
-    } else if (flag == "--loo") {
-      a.loo = true;
-    } else if (flag == "--strict") {
-      a.strict = true;
-    } else if (flag == "--no-validate") {
-      a.validate = false;
-    } else if (flag == "--no-repair") {
-      a.repair = false;
-    } else if (flag == "--trace-out") {
-      a.trace_out = value();
-    } else if (flag == "--metrics-out") {
-      a.metrics_out = value();
-    } else if (flag == "--report-out") {
-      a.report_out = value();
-    } else if (flag == "--telemetry-out") {
-      a.telemetry_out = value();
-    } else if (flag == "--heartbeat-s") {
-      a.heartbeat_s = parse_double(argv[0], flag, value(), 0.01, 3600);
-    } else if (flag == "--obs-logical-time") {
-      a.obs_logical_time = true;
-    } else if (flag == "--checkpoint-dir") {
-      a.checkpoint_dir = value();
-    } else if (flag == "--resume") {
-      a.resume = true;
-    } else if (flag == "--deadline-s") {
-      a.deadline_s = parse_double(argv[0], flag, value(), 0.001, 1e9);
-    } else if (flag == "--max-rss-mb") {
-      a.max_rss_mb = parse_int(argv[0], flag, value(), 1, 1 << 20);
-    } else if (flag == "--digest-out") {
-      a.digest_out = value();
-    } else if (flag == "--fold") {
-      a.fold = parse_int(argv[0], flag, value(), 0, 1 << 20);
-    } else {
-      arg_error(argv[0], "unknown flag " + flag);
-    }
-  }
+  common::FlagTable flags(argv[0]);
+  // --split's upper bound is re-checked against the parsed technology's
+  // via stack.
+  flags.text("--lef", "FILE", &a.lef)
+      .integer("--split", "N", &a.split, 1, 64)
+      .text("--config", "NAME", &a.config)
+      .text("--train", "FILE", &a.train)
+      .text("--victim", "FILE", &a.victim)
+      .integer("--threads", "N", &a.threads, 0, 1024)
+      .number("--threshold", "T", &a.threshold, 0.0, 1.0)
+      .text("--out", "CSV", &a.out)
+      .flag("--pa", &a.pa)
+      .flag("--loo", &a.loo)
+      .flag("--strict", &a.strict)
+      .flag("--no-validate", &a.validate, false)
+      .flag("--no-repair", &a.repair, false)
+      .text("--trace-out", "JSON", &a.trace_out)
+      .text("--metrics-out", "JSON", &a.metrics_out)
+      .text("--report-out", "JSON", &a.report_out)
+      .text("--telemetry-out", "JSONL", &a.telemetry_out)
+      .number("--heartbeat-s", "S", &a.heartbeat_s, 0.01, 3600)
+      .flag("--obs-logical-time", &a.obs_logical_time)
+      .text("--checkpoint-dir", "DIR", &a.checkpoint_dir)
+      .flag("--resume", &a.resume)
+      .number("--deadline-s", "S", &a.deadline_s, 0.001, 1e9)
+      .integer("--max-rss-mb", "N", &a.max_rss_mb, 1, 1 << 20)
+      .text("--digest-out", "JSON", &a.digest_out)
+      .integer("--fold", "K", &a.fold, 0, 1 << 20)
+      .flag("--demo", &a.demo);
+  flags.parse_or_exit(argc, argv);
   if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    usage(argv[0]);
+    flags.fail("file mode needs --lef, --train and --victim");
   }
   if (a.resume && a.checkpoint_dir.empty()) {
-    arg_error(argv[0], "--resume requires --checkpoint-dir");
+    flags.fail("--resume requires --checkpoint-dir");
   }
-  if (a.fold >= 0 && !a.loo) {
-    arg_error(argv[0], "--fold only applies to --loo runs");
-  }
+  if (a.fold >= 0 && !a.loo) flags.fail("--fold only applies to --loo runs");
   return a;
 }
 
@@ -301,16 +204,6 @@ bool write_digest_file(const std::string& path, bool complete,
   }
   obj.field_raw("designs", common::json_array(rows));
   return common::write_json_file(path, obj.str());
-}
-
-/// SIGINT/SIGTERM request a cooperative stop through the global cancel
-/// token (an async-signal-safe relaxed store); the attack unwinds at the
-/// next fold / target boundary and the tool flushes partial state.
-void handle_stop_signal(int) { common::global_cancel_token().request_cancel(); }
-
-void install_signal_handlers() {
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
 }
 
 /// Writes the LoC CSV through the atomic temp-then-rename path, so a
@@ -399,25 +292,13 @@ bool emit_obs_outputs(const Args& args, common::obs::RunReport& rep) {
   return true;
 }
 
-void print_diagnostics(const common::DiagnosticSink& sink) {
-  for (const common::Diagnostic& d : sink.diagnostics()) {
-    if (d.severity >= common::Severity::kWarning) {
-      std::fprintf(stderr, "  %s\n", d.to_string().c_str());
-    }
-  }
-  if (sink.dropped() > 0) {
-    std::fprintf(stderr, "  ... %zu further diagnostics not stored\n",
-                 sink.dropped());
-  }
-}
-
 int run(const Args& args) {
   // Resilience services arm before ingestion so the wall-clock budget
   // covers the whole run, and ^C during a slow parse already unwinds
   // cooperatively. Both a signal and an exhausted budget route through
   // the same token, so both leave a valid checkpoint and a flushed
   // (partial) report behind.
-  install_signal_handlers();
+  common::install_stop_signals();
   common::CancelToken& cancel = common::global_cancel_token();
   common::Budget budget(args.deadline_s, args.max_rss_mb);
 
@@ -454,22 +335,14 @@ int run(const Args& args) {
 
   common::obs::SpanGuard ingest_span("ingest");
   if (args.demo) {
-    // REPRO_SCALE shrinks the generated suite the same way the benches
-    // do, which keeps --demo-based CI checks (scripts/check_obs.sh) fast.
-    double scale = 1.0;
-    if (const char* s = std::getenv("REPRO_SCALE")) {
-      const double v = std::atof(s);
-      if (v > 0) scale = v;
-    }
+    const double scale = synth::scale_from_env();
     std::fprintf(stderr, "[demo] generating the built-in suite (scale "
                  "%.2f)...\n", scale);
-    const auto designs = synth::generate_benchmark_suite(scale);
-    for (std::size_t i = 1; i < designs.size(); ++i) {
-      training.push_back(splitmfg::make_challenge(
-          *designs[i].netlist, designs[i].routes, args.split));
-    }
-    victim = splitmfg::make_challenge(*designs[0].netlist,
-                                      designs[0].routes, args.split);
+    training = core::build_challenges(
+        synth::generate_benchmark_suite(scale), args.split);
+    // The first design is the victim, the rest train.
+    victim = std::move(training.front());
+    training.erase(training.begin());
     num_train_files = static_cast<int>(training.size());
   } else {
     std::ifstream lef_in(args.lef);
@@ -483,7 +356,7 @@ int run(const Args& args) {
     if (!lef.ok()) {
       std::fprintf(stderr, "error: %s: %s\n", args.lef.c_str(),
                    lef.status().to_string().c_str());
-      print_diagnostics(lef_sink);
+      lef_sink.print(std::cerr);
       return 1;
     }
     if (args.split > lef->tech.num_via_layers()) {
@@ -514,7 +387,7 @@ int run(const Args& args) {
                      d.validation.summary().c_str());
       }
     }
-    if (num_skipped > 0) print_diagnostics(sink);
+    if (num_skipped > 0) sink.print(std::cerr);
     if (args.strict && num_skipped > 0) {
       std::fprintf(stderr,
                    "error: --strict: %d training design(s) failed to load\n",
@@ -535,7 +408,7 @@ int run(const Args& args) {
     if (!v.ok()) {
       std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
                    v.status().to_string().c_str());
-      print_diagnostics(victim_sink);
+      victim_sink.print(std::cerr);
       return 1;
     }
     victim = std::move(v).value();
@@ -623,7 +496,7 @@ int run(const Args& args) {
                    ch.design_name.c_str(), num_threads);
       const auto res = suite.run_fold_checkpointed(cfg, rc, args.fold);
       common::obs::set_phase("report");
-      print_diagnostics(ckpt_sink);
+      ckpt_sink.print(std::cerr);
       common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
       const bool interrupted = !res;
       std::vector<std::optional<std::uint64_t>> ds;
@@ -668,7 +541,7 @@ int run(const Args& args) {
                  "LOO cross-validation over %zu designs (%d threads)...\n",
                  suite.size(), num_threads);
     const auto folds = suite.run_all_checkpointed(cfg, rc);
-    print_diagnostics(ckpt_sink);
+    ckpt_sink.print(std::cerr);
     // Corrupt-artifact / stale-checkpoint warnings belong in the run
     // report next to the degradation events: both mark runs whose path
     // to the result was not the happy one.
@@ -828,7 +701,7 @@ int run(const Args& args) {
       }
     }
   }
-  print_diagnostics(ckpt_sink);
+  ckpt_sink.print(std::cerr);
   common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
 
   const bool interrupted = !res;

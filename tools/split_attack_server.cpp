@@ -14,14 +14,8 @@
 // instead of retraining (scripts/check_server.sh kills the server
 // mid-request and proves the restart serves from the store).
 //
-// Usage:
-//   split_attack_server --demo [--split N]... [--port P] [--threads N]
-//                       [--cache-mb MB] [--store-dir DIR]
-//                       [--deadline-s S] [--max-rss-mb N]
-//                       [--read-deadline-s S] [--max-request-mb N]
-//                       [--threshold T]
-//   split_attack_server --lef tech.lef --train a.def... --victim v.def
-//                       [--split N]... [same serving flags]
+// Example (any usage error prints the full flag list):
+//   split_attack_server --demo --split 8 --split 6 --store-dir DIR
 //
 //   --split is repeatable: each layer gets its own suite, selected per
 //   request by the "layer" field. Default: layer 8 only.
@@ -60,12 +54,11 @@
 //
 // Exit codes: 0 clean shutdown (incl. signal-requested drain),
 // 1 runtime failure, 2 usage error.
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <chrono>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
@@ -73,6 +66,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/flags.hpp"
 #include "common/http.hpp"
 #include "common/obs.hpp"
 #include "common/parallel.hpp"
@@ -106,117 +100,29 @@ struct Args {
   int max_request_mb = 1;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--demo | --lef FILE --train FILE... --victim FILE) "
-      "[--split N]... [--port P] [--threads N] [--cache-mb MB] "
-      "[--store-dir DIR] [--threshold T] [--deadline-s S] "
-      "[--max-rss-mb N] [--read-deadline-s S] [--max-request-mb N]\n",
-      argv0);
-  std::exit(2);
-}
-
-[[noreturn]] void arg_error(const char* argv0, const std::string& msg) {
-  std::fprintf(stderr, "error: %s\n", msg.c_str());
-  usage(argv0);
-}
-
-int parse_int(const char* argv0, const std::string& flag,
-              const std::string& s, long lo, long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
-    arg_error(argv0, flag + " expects an integer, got '" + s + "'");
-  }
-  if (v < lo || v > hi) {
-    arg_error(argv0, flag + " must be in [" + std::to_string(lo) + ", " +
-                         std::to_string(hi) + "], got " + s);
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& s, double lo, double hi) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      !(v >= lo && v <= hi)) {  // !(..) also rejects NaN
-    arg_error(argv0, flag + " expects a number in [" + std::to_string(lo) +
-                         ", " + std::to_string(hi) + "], got '" + s + "'");
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        arg_error(argv[0], flag + " expects a value");
-      }
-      return argv[++i];
-    };
-    if (flag == "--lef") {
-      a.lef = value();
-    } else if (flag == "--train") {
-      a.train.push_back(value());
-    } else if (flag == "--victim") {
-      a.victim = value();
-    } else if (flag == "--split") {
-      a.splits.push_back(parse_int(argv[0], flag, value(), 1, 64));
-    } else if (flag == "--demo") {
-      a.demo = true;
-    } else if (flag == "--port") {
-      a.port = parse_int(argv[0], flag, value(), 0, 65535);
-    } else if (flag == "--threads") {
-      a.threads = parse_int(argv[0], flag, value(), 1, 256);
-    } else if (flag == "--cache-mb") {
-      a.cache_mb = parse_int(argv[0], flag, value(), 0, 1 << 20);
-    } else if (flag == "--store-dir") {
-      a.store_dir = value();
-    } else if (flag == "--threshold") {
-      a.threshold = parse_double(argv[0], flag, value(), 0.0, 1.0);
-    } else if (flag == "--deadline-s") {
-      a.deadline_s = parse_double(argv[0], flag, value(), 0.001, 1e9);
-    } else if (flag == "--max-rss-mb") {
-      a.max_rss_mb = parse_int(argv[0], flag, value(), 1, 1 << 20);
-    } else if (flag == "--read-deadline-s") {
-      a.read_deadline_s = parse_double(argv[0], flag, value(), 0.01, 3600);
-    } else if (flag == "--max-request-mb") {
-      a.max_request_mb = parse_int(argv[0], flag, value(), 1, 1024);
-    } else {
-      arg_error(argv[0], "unknown flag " + flag);
-    }
-  }
+  common::FlagTable flags(argv[0]);
+  flags.flag("--demo", &a.demo)
+      .text("--lef", "FILE", &a.lef)
+      .text("--train", "FILE", &a.train)
+      .text("--victim", "FILE", &a.victim)
+      .integer("--split", "N", &a.splits, 1, 64)
+      .integer("--port", "P", &a.port, 0, 65535)
+      .integer("--threads", "N", &a.threads, 1, 256)
+      .integer("--cache-mb", "MB", &a.cache_mb, 0, 1 << 20)
+      .text("--store-dir", "DIR", &a.store_dir)
+      .number("--threshold", "T", &a.threshold, 0.0, 1.0)
+      .number("--deadline-s", "S", &a.deadline_s, 0.001, 1e9)
+      .integer("--max-rss-mb", "N", &a.max_rss_mb, 1, 1 << 20)
+      .number("--read-deadline-s", "S", &a.read_deadline_s, 0.01, 3600)
+      .integer("--max-request-mb", "N", &a.max_request_mb, 1, 1024);
+  flags.parse_or_exit(argc, argv);
   if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    usage(argv[0]);
+    flags.fail("file mode needs --lef, --train and --victim");
   }
   if (a.splits.empty()) a.splits.push_back(8);
   return a;
-}
-
-void handle_stop_signal(int) { common::global_cancel_token().request_cancel(); }
-
-void install_signal_handlers() {
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  std::signal(SIGPIPE, SIG_IGN);  // a vanished client is not fatal
-}
-
-void print_diagnostics(const common::DiagnosticSink& sink) {
-  for (const common::Diagnostic& d : sink.diagnostics()) {
-    if (d.severity >= common::Severity::kWarning) {
-      std::fprintf(stderr, "  %s\n", d.to_string().c_str());
-    }
-  }
-  if (sink.dropped() > 0) {
-    std::fprintf(stderr, "  ... %zu further diagnostics not stored\n",
-                 sink.dropped());
-  }
 }
 
 /// Builds the per-layer LOO suites. Challenge order is [victim,
@@ -226,23 +132,12 @@ void print_diagnostics(const common::DiagnosticSink& sink) {
 bool build_suites(const Args& args,
                   std::map<int, core::ChallengeSuite>* suites) {
   if (args.demo) {
-    // REPRO_SCALE shrinks the generated suite the same way the batch
-    // tool and the benches do, which keeps CI checks fast.
-    double scale = 1.0;
-    if (const char* s = std::getenv("REPRO_SCALE")) {
-      const double v = std::atof(s);
-      if (v > 0) scale = v;
-    }
+    const double scale = synth::scale_from_env();
     std::fprintf(stderr, "[demo] generating the built-in suite (scale "
                  "%.2f)...\n", scale);
     const auto designs = synth::generate_benchmark_suite(scale);
     for (const int split : args.splits) {
-      std::vector<splitmfg::SplitChallenge> all;
-      all.reserve(designs.size());
-      for (const auto& d : designs) {
-        all.push_back(splitmfg::make_challenge(*d.netlist, d.routes, split));
-      }
-      suites->emplace(split, core::ChallengeSuite(std::move(all)));
+      suites->emplace(split, core::make_suite(designs, split));
     }
     return true;
   }
@@ -258,7 +153,7 @@ bool build_suites(const Args& args,
   if (!lef.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", args.lef.c_str(),
                  lef.status().to_string().c_str());
-    print_diagnostics(lef_sink);
+    lef_sink.print(std::cerr);
     return false;
   }
   const auto lib = std::make_shared<const netlist::Library>(lef->lib);
@@ -281,7 +176,7 @@ bool build_suites(const Args& args,
     core::DefBatch batch =
         core::load_challenges_from_defs(args.train, *lef, load_opt, sink);
     if (batch.num_skipped > 0) {
-      print_diagnostics(sink);
+      sink.print(std::cerr);
       std::fprintf(stderr,
                    "error: %d training design(s) failed to load\n",
                    batch.num_skipped);
@@ -294,7 +189,7 @@ bool build_suites(const Args& args,
     if (!v.ok()) {
       std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
                    v.status().to_string().c_str());
-      print_diagnostics(victim_sink);
+      victim_sink.print(std::cerr);
       return false;
     }
     std::vector<splitmfg::SplitChallenge> all;
@@ -309,7 +204,8 @@ bool build_suites(const Args& args,
 }
 
 int run(const Args& args) {
-  install_signal_handlers();
+  common::install_stop_signals();
+  std::signal(SIGPIPE, SIG_IGN);  // a vanished client is not fatal
   common::CancelToken& cancel = common::global_cancel_token();
   common::Budget budget(args.deadline_s, args.max_rss_mb);
   // The obs registry feeds /metrics; logical time keeps any trace

@@ -9,14 +9,8 @@
 // picks up from the last committed shard state — the merged digest is
 // byte-identical to an uninterrupted run's, at any --threads value.
 //
-// Usage:
-//   split_campaign --demo --layers 6,8 --campaign-dir DIR
-//                  [--resume] [--workers N] [--threads N]
-//                  [--max-attempts N] [--backoff-ms B] [--backoff-max-ms B]
-//                  [--shard-timeout-s S] [--config NAME]
-//                  [--digest-out JSON] [--report-out JSON]
-//                  [--worker-bin PATH] [--inject-fault SHARD=SPEC[@all]]
-//   split_campaign --lef tech.lef --train a.def ... --victim v.def ...
+// Example (any usage error prints the full flag list):
+//   split_campaign --demo --layers 6,8 --campaign-dir DIR --workers 4
 //
 // --remote HOST:PORT[,HOST:PORT...] dispatches shards to a fleet of
 // split_attack_server processes (POST /shard) instead of spawning local
@@ -48,10 +42,8 @@
 // Exit codes: 0 campaign finished (possibly with quarantined shards),
 // 1 runtime failure (e.g. another supervisor holds the campaign lock),
 // 2 usage error, 3 interrupted by signal.
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <string>
@@ -61,6 +53,7 @@
 
 #include "common/cancel.hpp"
 #include "common/diagnostics.hpp"
+#include "common/flags.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
 #include "common/parallel.hpp"
@@ -122,178 +115,82 @@ struct Args {
   int breaker_failures = 3;            ///< consecutive failures -> open
   double breaker_cooldown_ms = 2000;   ///< open duration before probe
   bool no_local_fallback = false;      ///< fleet down = shard fails
-  std::uint64_t jitter_seed = 0;       ///< backoff jitter stream
+  int jitter_seed = 0;                 ///< backoff jitter stream
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--demo | --lef FILE --train FILE... --victim FILE) "
-      "--layers L1,L2,... --campaign-dir DIR [--resume] [--workers N] "
-      "[--threads N] [--max-attempts N] [--backoff-ms B] "
-      "[--backoff-max-ms B] [--shard-timeout-s S] [--config NAME] "
-      "[--digest-out JSON] [--report-out JSON] [--worker-bin PATH] "
-      "[--inject-fault SHARD=SPEC[@all]] [--no-telemetry] "
-      "[--heartbeat-s S] [--stall-after-s S] [--stall-kill] "
-      "[--status-out JSON] [--trace-out JSON] [--metrics-out JSON] "
-      "[--remote HOST:PORT[,HOST:PORT...]] [--remote-attempts N] "
-      "[--remote-backoff-ms B] [--remote-backoff-max-ms B] "
-      "[--remote-deadline-s S] [--breaker-failures N] "
-      "[--breaker-cooldown-ms MS] [--no-local-fallback] "
-      "[--jitter-seed N]\n",
-      argv0);
-  std::exit(2);
-}
-
-[[noreturn]] void arg_error(const char* argv0, const std::string& msg) {
-  std::fprintf(stderr, "error: %s\n", msg.c_str());
-  usage(argv0);
-}
-
-int parse_int(const char* argv0, const std::string& flag,
-              const std::string& s, long lo, long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      v < lo || v > hi) {
-    arg_error(argv0, flag + " expects an integer in [" + std::to_string(lo) +
-                         ", " + std::to_string(hi) + "], got '" + s + "'");
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& s, double lo, double hi) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      !(v >= lo && v <= hi)) {
-    arg_error(argv0, flag + " expects a number in [" + std::to_string(lo) +
-                         ", " + std::to_string(hi) + "], got '" + s + "'");
-  }
-  return v;
-}
-
-std::vector<int> parse_layers(const char* argv0, const std::string& s) {
-  std::vector<int> out;
-  std::string cur;
-  const auto flush = [&] {
-    if (cur.empty()) arg_error(argv0, "--layers has an empty entry");
-    out.push_back(parse_int(argv0, "--layers", cur, 1, 64));
-    cur.clear();
-  };
-  for (char c : s) {
-    if (c == ',') {
-      flush();
-    } else {
-      cur += c;
-    }
-  }
-  flush();
-  return out;
-}
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) arg_error(argv[0], flag + " expects a value");
-      return argv[++i];
-    };
-    if (flag == "--lef") {
-      a.lef = value();
-    } else if (flag == "--train") {
-      a.train.push_back(value());
-    } else if (flag == "--victim") {
-      a.victim = value();
-    } else if (flag == "--demo") {
-      a.demo = true;
-    } else if (flag == "--layers") {
-      a.layers = parse_layers(argv[0], value());
-    } else if (flag == "--campaign-dir") {
-      a.campaign_dir = value();
-    } else if (flag == "--resume") {
-      a.resume = true;
-    } else if (flag == "--workers") {
-      a.workers = parse_int(argv[0], flag, value(), 1, 256);
-    } else if (flag == "--threads") {
-      a.threads = parse_int(argv[0], flag, value(), 0, 1024);
-    } else if (flag == "--max-attempts") {
-      a.max_attempts = parse_int(argv[0], flag, value(), 1, 100);
-    } else if (flag == "--backoff-ms") {
-      a.backoff_ms = parse_double(argv[0], flag, value(), 0, 1e7);
-    } else if (flag == "--backoff-max-ms") {
-      a.backoff_max_ms = parse_double(argv[0], flag, value(), 0, 1e8);
-    } else if (flag == "--shard-timeout-s") {
-      a.shard_timeout_s = parse_double(argv[0], flag, value(), 0.001, 1e7);
-    } else if (flag == "--config") {
-      a.config = value();
-    } else if (flag == "--digest-out") {
-      a.digest_out = value();
-    } else if (flag == "--report-out") {
-      a.report_out = value();
-    } else if (flag == "--worker-bin") {
-      a.worker_bin = value();
-    } else if (flag == "--no-telemetry") {
-      a.telemetry = false;
-    } else if (flag == "--heartbeat-s") {
-      a.heartbeat_s = parse_double(argv[0], flag, value(), 0.01, 3600);
-    } else if (flag == "--stall-after-s") {
-      a.stall_after_s = parse_double(argv[0], flag, value(), 0, 1e7);
-    } else if (flag == "--stall-kill") {
-      a.stall_kill = true;
-    } else if (flag == "--status-out") {
-      a.status_out = value();
-    } else if (flag == "--trace-out") {
-      a.trace_out = value();
-    } else if (flag == "--metrics-out") {
-      a.metrics_out = value();
-    } else if (flag == "--remote") {
-      a.remote = value();
-    } else if (flag == "--remote-attempts") {
-      a.remote_attempts = parse_int(argv[0], flag, value(), 1, 100);
-    } else if (flag == "--remote-backoff-ms") {
-      a.remote_backoff_ms = parse_double(argv[0], flag, value(), 0, 1e7);
-    } else if (flag == "--remote-backoff-max-ms") {
-      a.remote_backoff_max_ms = parse_double(argv[0], flag, value(), 0, 1e8);
-    } else if (flag == "--remote-deadline-s") {
-      a.remote_deadline_s = parse_double(argv[0], flag, value(), 0.001, 1e7);
-    } else if (flag == "--breaker-failures") {
-      a.breaker_failures = parse_int(argv[0], flag, value(), 1, 1000);
-    } else if (flag == "--breaker-cooldown-ms") {
-      a.breaker_cooldown_ms = parse_double(argv[0], flag, value(), 0, 1e8);
-    } else if (flag == "--no-local-fallback") {
-      a.no_local_fallback = true;
-    } else if (flag == "--jitter-seed") {
-      a.jitter_seed = static_cast<std::uint64_t>(
-          parse_int(argv[0], flag, value(), 0, 1000000000));
-    } else if (flag == "--inject-fault") {
-      // SHARD=SPEC[@all], e.g. L6_f0=crash_after_artifact:0@all
-      const std::string v = value();
-      const std::size_t eq = v.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= v.size()) {
-        arg_error(argv[0], "--inject-fault expects SHARD=SPEC[@all]");
-      }
-      Injection inj;
-      inj.spec = v.substr(eq + 1);
-      const std::size_t at = inj.spec.rfind("@all");
-      if (at != std::string::npos && at == inj.spec.size() - 4) {
-        inj.spec = inj.spec.substr(0, at);
-        inj.every_attempt = true;
-      }
-      a.injections[v.substr(0, eq)] = inj;
-    } else {
-      arg_error(argv[0], "unknown flag " + flag);
+  common::FlagTable flags(argv[0]);
+  // --layers L1,L2,...: a comma-separated list; a repeated flag replaces it.
+  const auto layers = [&a](const std::string& v) {
+    a.layers.clear();
+    for (std::size_t start = 0;;) {
+      const std::size_t comma = v.find(',', start);
+      const std::string entry = v.substr(start, comma - start);
+      const std::optional<long long> layer = common::parse_int(entry, 1, 64);
+      if (!layer) return common::expects_integer(entry, 1, 64);
+      a.layers.push_back(static_cast<int>(*layer));
+      if (comma == std::string::npos) return std::string();
+      start = comma + 1;
     }
-  }
+  };
+  // --inject-fault SHARD=SPEC[@all], e.g. L6_f0=crash_after_artifact:0@all
+  const auto inject = [&a](const std::string& v) {
+    const std::size_t eq = v.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= v.size()) {
+      return std::string("expects SHARD=SPEC[@all]");
+    }
+    Injection inj;
+    inj.spec = v.substr(eq + 1);
+    const std::size_t at = inj.spec.rfind("@all");
+    if (at != std::string::npos && at == inj.spec.size() - 4) {
+      inj.spec = inj.spec.substr(0, at);
+      inj.every_attempt = true;
+    }
+    a.injections[v.substr(0, eq)] = inj;
+    return std::string();
+  };
+  flags.flag("--demo", &a.demo)
+      .text("--lef", "FILE", &a.lef)
+      .text("--train", "FILE", &a.train)
+      .text("--victim", "FILE", &a.victim)
+      .custom("--layers", "L1,L2,...", layers)
+      .text("--campaign-dir", "DIR", &a.campaign_dir)
+      .flag("--resume", &a.resume)
+      .integer("--workers", "N", &a.workers, 1, 256)
+      .integer("--threads", "N", &a.threads, 0, 1024)
+      .integer("--max-attempts", "N", &a.max_attempts, 1, 100)
+      .number("--backoff-ms", "B", &a.backoff_ms, 0, 1e7)
+      .number("--backoff-max-ms", "B", &a.backoff_max_ms, 0, 1e8)
+      .number("--shard-timeout-s", "S", &a.shard_timeout_s, 0.001, 1e7)
+      .text("--config", "NAME", &a.config)
+      .text("--digest-out", "JSON", &a.digest_out)
+      .text("--report-out", "JSON", &a.report_out)
+      .text("--worker-bin", "PATH", &a.worker_bin)
+      .custom("--inject-fault", "SHARD=SPEC[@all]", inject)
+      .flag("--no-telemetry", &a.telemetry, false)
+      .number("--heartbeat-s", "S", &a.heartbeat_s, 0.01, 3600)
+      .number("--stall-after-s", "S", &a.stall_after_s, 0, 1e7)
+      .flag("--stall-kill", &a.stall_kill)
+      .text("--status-out", "JSON", &a.status_out)
+      .text("--trace-out", "JSON", &a.trace_out)
+      .text("--metrics-out", "JSON", &a.metrics_out)
+      .text("--remote", "HOST:PORT[,HOST:PORT...]", &a.remote)
+      .integer("--remote-attempts", "N", &a.remote_attempts, 1, 100)
+      .number("--remote-backoff-ms", "B", &a.remote_backoff_ms, 0, 1e7)
+      .number("--remote-backoff-max-ms", "B", &a.remote_backoff_max_ms, 0,
+              1e8)
+      .number("--remote-deadline-s", "S", &a.remote_deadline_s, 0.001, 1e7)
+      .integer("--breaker-failures", "N", &a.breaker_failures, 1, 1000)
+      .number("--breaker-cooldown-ms", "MS", &a.breaker_cooldown_ms, 0, 1e8)
+      .flag("--no-local-fallback", &a.no_local_fallback)
+      .integer("--jitter-seed", "N", &a.jitter_seed, 0, 1000000000);
+  flags.parse_or_exit(argc, argv);
   if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    usage(argv[0]);
+    flags.fail("file mode needs --lef, --train and --victim");
   }
-  if (a.layers.empty()) arg_error(argv[0], "--layers is required");
-  if (a.campaign_dir.empty()) arg_error(argv[0], "--campaign-dir is required");
+  if (a.layers.empty()) flags.fail("--layers is required");
+  if (a.campaign_dir.empty()) flags.fail("--campaign-dir is required");
   return a;
 }
 
@@ -308,8 +205,6 @@ std::string default_worker_bin(const char* argv0) {
                                      : self.substr(0, slash)) +
          "/split_attack";
 }
-
-void handle_stop_signal(int) { common::global_cancel_token().request_cancel(); }
 
 bool write_digest_file(const std::string& path,
                        const core::CampaignOutcome& out) {
@@ -420,8 +315,7 @@ bool write_report_file(const std::string& path,
 
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
+  common::install_stop_signals();
   common::CancelToken& cancel = common::global_cancel_token();
 
   // The LOO suite size fixes the fold count per layer: one held-out
@@ -432,13 +326,8 @@ int run(int argc, char** argv) {
   // --strict and fail the shard loudly instead.
   std::int64_t folds = 0;
   if (args.demo) {
-    double scale = 1.0;
-    if (const char* s = std::getenv("REPRO_SCALE")) {
-      const double v = std::atof(s);
-      if (v > 0) scale = v;
-    }
-    folds =
-        static_cast<std::int64_t>(synth::generate_benchmark_suite(scale).size());
+    folds = static_cast<std::int64_t>(
+        synth::generate_benchmark_suite(synth::scale_from_env()).size());
   } else {
     folds = 1 + static_cast<std::int64_t>(args.train.size());
   }
@@ -552,11 +441,7 @@ int run(int argc, char** argv) {
   }
 
   auto outcome = supervisor.run(&cancel);
-  for (const common::Diagnostic& d : sink.diagnostics()) {
-    if (d.severity >= common::Severity::kWarning) {
-      std::fprintf(stderr, "  %s\n", d.to_string().c_str());
-    }
-  }
+  sink.print(std::cerr);
   if (!outcome.ok()) {
     std::fprintf(stderr, "error: %s\n", outcome.status().to_string().c_str());
     return 1;
