@@ -17,7 +17,12 @@
 #      REPRO_FAULT=corrupt_artifact:1 commits damaged bytes for fold 0's
 #      result while the manifest records the true CRC; the resume must
 #      detect the mismatch, recompute that fold, and still reproduce the
-#      reference digests.
+#      reference digests,
+#   6. kills a single-victim run (fold 0 of the same suite) right after
+#      its model commits (REPRO_FAULT=crash_after_artifact:0), resumes it
+#      at another thread count to a digest file byte-identical to an
+#      uninterrupted single run, then runs --loo --fold 0 --resume on the
+#      same directory, which must answer from fold_0.result.
 #
 # No budget flags are used: budget degradation deliberately changes
 # results (and records degradation events), so the determinism proof
@@ -105,4 +110,48 @@ if ! diff -u "$OUT/reference.json" "$OUT/healed.json"; then
   exit 1
 fi
 echo "   corrupt fold result detected and recomputed; digests match"
+
+echo "== crash-recovery: single-victim run killed after its model commit =="
+REPRO_SCALE="$SCALE" "$BIN" --demo --threads 4 \
+  --digest-out "$OUT/single_reference.json" >"$OUT/single_reference.log"
+CKPT3="$OUT/ckpt-single"
+set +e
+REPRO_SCALE="$SCALE" REPRO_FAULT=crash_after_artifact:0 \
+  "$BIN" --demo --threads 1 \
+  --checkpoint-dir "$CKPT3" --digest-out "$OUT/single_killed.json" \
+  >"$OUT/single_killed.log" 2>&1
+KILLED_RC=$?
+set -e
+if [ "$KILLED_RC" -ne 137 ]; then
+  echo "FAIL: expected death by SIGKILL (rc 137), got rc $KILLED_RC"
+  cat "$OUT/single_killed.log"
+  exit 1
+fi
+if [ ! -f "$CKPT3/fold_0.model" ]; then
+  echo "FAIL: the single-victim run left no fold_0.model behind"
+  ls "$CKPT3"
+  exit 1
+fi
+REPRO_SCALE="$SCALE" "$BIN" --demo --threads 8 \
+  --checkpoint-dir "$CKPT3" --resume --digest-out "$OUT/single_resumed.json" \
+  >"$OUT/single_resumed.log"
+if ! diff -u "$OUT/single_reference.json" "$OUT/single_resumed.json"; then
+  echo "FAIL: resumed single-victim digests differ from the reference"
+  exit 1
+fi
+# Same suite, same run key, same artifact names: the LOO shard worker
+# for fold 0 finds the finished result instead of recomputing it.
+REPRO_SCALE="$SCALE" "$BIN" --demo --loo --fold 0 --threads 2 \
+  --checkpoint-dir "$CKPT3" --resume --digest-out "$OUT/fold0.json" \
+  --metrics-out "$OUT/fold0_metrics.json" >"$OUT/fold0.log"
+if ! grep -q '"resume.folds_loaded": 1' "$OUT/fold0_metrics.json"; then
+  echo "FAIL: --loo --fold 0 did not resume from fold_0.result"
+  cat "$OUT/fold0_metrics.json"
+  exit 1
+fi
+if ! diff -u "$OUT/single_reference.json" "$OUT/fold0.json"; then
+  echo "FAIL: --loo --fold 0 digests differ from the single-victim run"
+  exit 1
+fi
+echo "   single-victim run resumed past its model; --fold 0 reused its result"
 echo "crash-recovery check passed"

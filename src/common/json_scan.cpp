@@ -1,13 +1,31 @@
 #include "common/json_scan.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <optional>
+
+#include "common/flags.hpp"
 
 namespace repro::common {
 
 namespace {
 
 constexpr int kMaxDepth = 64;
+
+/// Whole-string unsigned integer in `base`: strtoull would skip leading
+/// space, negate a '-' and saturate on overflow, so each is rejected.
+std::optional<std::uint64_t> parse_u64(const std::string& s, int base) {
+  if (s.empty() || !std::isalnum(static_cast<unsigned char>(s[0]))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, base);
+  if (end != s.c_str() + s.size() || errno == ERANGE) return std::nullopt;
+  return v;
+}
 
 class Parser {
  public:
@@ -181,31 +199,22 @@ double JsonValue::as_double(double def) const {
   return kind == Kind::kNumber ? number : def;
 }
 
+// Integers are whole decimal tokens in range. A fraction, an exponent
+// or an out-of-range value is a mistyped field (the default), never
+// rounded, saturated, wrapped or — for a double beyond the type —
+// undefined.
 std::int64_t JsonValue::as_i64(std::int64_t def) const {
   if (kind != Kind::kNumber) return def;
-  if (!raw_number.empty()) {
-    char* end = nullptr;
-    const long long v = std::strtoll(raw_number.c_str(), &end, 10);
-    if (end == raw_number.c_str() + raw_number.size()) return v;
-  }
-  return static_cast<std::int64_t>(number);
+  return parse_int(raw_number, std::numeric_limits<std::int64_t>::min(),
+                   std::numeric_limits<std::int64_t>::max())
+      .value_or(def);
 }
 
 std::uint64_t JsonValue::as_u64(std::uint64_t def) const {
-  if (kind == Kind::kString) {
-    // Hex-encoded u64s (run keys, digests) are serialized as strings.
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(str.c_str(), &end, 16);
-    if (end == str.c_str() + str.size() && !str.empty()) return v;
-    return def;
-  }
+  // Hex-encoded u64s (run keys, digests) are serialized as strings.
+  if (kind == Kind::kString) return parse_u64(str, 16).value_or(def);
   if (kind != Kind::kNumber) return def;
-  if (!raw_number.empty()) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw_number.c_str(), &end, 10);
-    if (end == raw_number.c_str() + raw_number.size()) return v;
-  }
-  return static_cast<std::uint64_t>(number);
+  return parse_u64(raw_number, 10).value_or(def);
 }
 
 bool JsonValue::as_bool(bool def) const {

@@ -47,7 +47,9 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
 
   /// Convenience accessors with defaults — absent/mistyped fields yield
-  /// the default, never a crash.
+  /// the default, never a crash. as_i64 / as_u64 take whole decimal
+  /// integers in range (as_u64 also hex strings) and nothing else: a
+  /// fraction, exponent, sign on a u64 or overflow is mistyped.
   std::string as_string(std::string def = "") const;
   double as_double(double def = 0) const;
   std::int64_t as_i64(std::int64_t def = 0) const;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "common/binio.hpp"
@@ -88,6 +89,39 @@ std::uint64_t AttackService::requests_scored() const {
   return scored_.load(std::memory_order_relaxed);
 }
 
+std::unique_lock<std::mutex> AttackService::lock_gate(std::uint64_t key) {
+  std::shared_ptr<std::mutex> gate;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    auto& slot = inflight_[key];
+    if (slot == nullptr) slot = std::make_shared<std::mutex>();
+    gate = slot;
+  }
+  // The map keeps every gate for the service's lifetime, so the lock
+  // may outlive `gate`.
+  return std::unique_lock<std::mutex>(*gate);
+}
+
+std::optional<std::string> AttackService::read_store(const std::string& name) {
+  if (!store_.has_value()) return std::nullopt;
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  if (!store_->has(name)) return std::nullopt;
+  // A corrupt or unreadable artifact reads as absent — the checkpoint
+  // layer has already dropped its manifest entry.
+  auto raw = store_->read(name, store_sink_);
+  if (!raw.ok()) return std::nullopt;
+  return std::move(*raw);
+}
+
+void AttackService::write_store(const std::string& name,
+                                const std::string& bytes) {
+  if (!store_.has_value()) return;
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  // Best-effort: a full disk must not fail the request, only the warm
+  // restart / idempotency tier.
+  (void)store_->write(name, bytes);
+}
+
 std::shared_ptr<const CachedEnsemble> AttackService::hydrate(
     const ChallengeSuite& suite, const AttackConfig& config,
     std::int64_t fold, std::uint64_t key, const char** source) {
@@ -97,48 +131,25 @@ std::shared_ptr<const CachedEnsemble> AttackService::hydrate(
   }
   // Singleflight: the first thread to miss trains (or loads); threads
   // that pile onto the same key wait here and then hit the cache.
-  std::shared_ptr<std::mutex> gate;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto& slot = inflight_[key];
-    if (slot == nullptr) slot = std::make_shared<std::mutex>();
-    gate = slot;
-  }
-  std::lock_guard<std::mutex> flight(*gate);
+  const auto flight = lock_gate(key);
   if (auto entry = cache_->get(key)) {
     *source = "hit";
     return entry;
   }
 
-  auto entry = std::make_shared<CachedEnsemble>();
-  bool hydrated = false;
+  auto entry = std::make_shared<CachedEnsemble>();  // source: kTrained
   const std::string name = model_artifact_name(key);
-  if (store_.has_value()) {
-    std::lock_guard<std::mutex> lock(store_mutex_);
-    if (store_->has(name)) {
-      auto raw = store_->read(name, store_sink_);
-      if (raw.ok()) {
-        auto model = load_model(*raw);
-        if (model.ok()) {
-          entry->model = std::move(*model);
-          entry->source = CachedEnsemble::Source::kStore;
-          hydrated = true;
-        }
-      }
-      // Corrupt / unreadable artifacts fall through to retraining —
-      // the checkpoint layer has already dropped the manifest entry.
+  if (const auto raw = read_store(name)) {
+    auto model = load_model(*raw);
+    if (model.ok()) {
+      entry->model = std::move(*model);
+      entry->source = CachedEnsemble::Source::kStore;
     }
   }
-  if (!hydrated) {
+  if (entry->source == CachedEnsemble::Source::kTrained) {
     const auto training = suite.training_for(static_cast<std::size_t>(fold));
     entry->model = AttackEngine::train(training, config);
-    entry->source = CachedEnsemble::Source::kTrained;
-    if (store_.has_value()) {
-      std::lock_guard<std::mutex> lock(store_mutex_);
-      // Best-effort: a full disk must not fail the request, only the
-      // warm restart path.
-      (void)store_->write(name, save_model(entry->model));
-    }
+    if (store_.has_value()) write_store(name, save_model(entry->model));
   }
   entry->forest = ml::FlatForest::build(entry->model.classifier);
   entry->bytes = estimate_ensemble_bytes(*entry);
@@ -155,18 +166,25 @@ bool AttackService::parse_target(const Request& req, ShardTarget* out,
     *error = error_response(400, "request body is not a JSON object");
     return false;
   }
-  out->layer = static_cast<int>(
-      doc->get_i64("layer", suites_.begin()->first));
+  const std::int64_t layer = doc->get_i64("layer", suites_.begin()->first);
   out->fold = doc->get_i64("fold", 0);
   out->config_name = doc->get_string("config", "Imp-9");
+  out->threshold = doc->get_double("threshold", opt_.default_threshold);
 
-  const auto suite_it = suites_.find(out->layer);
+  // A layer outside int names no suite; narrowing it first would wrap
+  // it onto one.
+  const auto suite_it =
+      layer >= std::numeric_limits<int>::min() &&
+              layer <= std::numeric_limits<int>::max()
+          ? suites_.find(static_cast<int>(layer))
+          : suites_.end();
   if (suite_it == suites_.end()) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
     *error = error_response(400, "no suite for split layer " +
-                                     std::to_string(out->layer));
+                                     std::to_string(layer));
     return false;
   }
+  out->layer = suite_it->first;
   out->suite = &suite_it->second;
   if (out->fold < 0 ||
       out->fold >= static_cast<std::int64_t>(out->suite->size())) {
@@ -195,10 +213,7 @@ Response AttackService::handle_score(const Request& req) {
   const std::string& config_name = target.config_name;
   const ChallengeSuite& suite = *target.suite;
   AttackConfig config = target.config;
-  auto doc = common::parse_json(req.body);
-  const double threshold =
-      doc.ok() ? doc->get_double("threshold", opt_.default_threshold)
-               : opt_.default_threshold;
+  const double threshold = target.threshold;
 
   // Admission under the budget ladder.
   bool degraded = false;
@@ -287,107 +302,61 @@ Response AttackService::handle_shard(const Request& req) {
 
   const std::uint64_t key =
       fold_model_key(suite, target.config, target.fold);
-  const char* result_source = "computed";
-  std::string payload;
-
-  // Idempotency tier 1: the in-memory result map.
+  // One pass over the idempotency tiers — the in-memory results, the
+  // persistent store, then compute — under a shard-scoped singleflight
+  // gate: concurrent identical shards execute once, and the waiters find
+  // the winner's result in memory.
+  const auto flight =
+      lock_gate(key ^ common::fnv1a64("attack_server.shard_gate"));
+  std::optional<ShardResult> shard;
+  const char* result_source = "memory";
   {
     std::lock_guard<std::mutex> lock(results_mutex_);
     auto it = results_.find(key);
-    if (it != results_.end()) {
-      payload = it->second;
-      result_source = "memory";
-    }
+    if (it != results_.end()) shard = it->second;
   }
-
-  // Tier 2: the persistent store (survives a server restart). The
-  // envelope CRC inside the payload is re-checked by load_result below
-  // before the bytes are vouched for.
-  if (payload.empty() && store_.has_value()) {
-    const std::string name = result_artifact_name(key);
-    std::lock_guard<std::mutex> lock(store_mutex_);
-    if (store_->has(name)) {
-      auto raw = store_->read(name, store_sink_);
-      if (raw.ok()) {
-        payload = std::move(*raw);
+  // The store survives a server restart. The envelope CRC inside its
+  // payload is re-checked by load_result before the bytes are vouched
+  // for; a damaged payload is recomputed.
+  if (!shard) {
+    if (auto raw = read_store(result_artifact_name(key))) {
+      auto decoded = load_result(*raw);
+      if (decoded.ok()) {
+        shard = ShardResult{std::move(*raw), result_digest(*decoded)};
         result_source = "store";
       }
     }
   }
-
-  std::uint64_t digest = 0;
-  if (!payload.empty()) {
-    auto decoded = load_result(payload);
-    if (decoded.ok()) {
-      digest = result_digest(*decoded);
-    } else {
-      payload.clear();  // damaged replay tier: recompute below
-      result_source = "computed";
+  if (!shard) {
+    common::ScopedInline inline_region;
+    const char* model_source = "trained";
+    const auto entry =
+        hydrate(suite, target.config, target.fold, key, &model_source);
+    const AttackResult result = AttackEngine::test(
+        entry->model, entry->forest,
+        suite.challenge(static_cast<std::size_t>(target.fold)),
+        opt_.cancel);
+    if (result.interrupted) {
+      rejected_busy_.fetch_add(1, std::memory_order_relaxed);
+      return error_response(503, "shard interrupted by shutdown");
     }
-  }
-
-  if (payload.empty()) {
-    // Singleflight on a shard-scoped gate so concurrent retries of the
-    // same fold execute once; losers re-check the result map above via
-    // the store/memory tiers on their own retry, or recompute a cached
-    // model (cheap) right here.
-    std::shared_ptr<std::mutex> gate;
-    const std::uint64_t gate_key =
-        key ^ common::fnv1a64("attack_server.shard_gate");
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      auto& slot = inflight_[gate_key];
-      if (slot == nullptr) slot = std::make_shared<std::mutex>();
-      gate = slot;
-    }
-    std::lock_guard<std::mutex> flight(*gate);
+    shard = ShardResult{save_result(result), result_digest(result)};
+    result_source = "computed";
+    shard_computed_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(results_mutex_);
-      auto it = results_.find(key);
-      if (it != results_.end()) {
-        payload = it->second;
-        result_source = "memory";
-      }
-    }
-    if (payload.empty()) {
-      common::ScopedInline inline_region;
-      const char* model_source = "trained";
-      const auto entry =
-          hydrate(suite, target.config, target.fold, key, &model_source);
-      const AttackResult result = AttackEngine::test(
-          entry->model, entry->forest,
-          suite.challenge(static_cast<std::size_t>(target.fold)),
-          opt_.cancel);
-      if (result.interrupted) {
-        rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-        return error_response(503, "shard interrupted by shutdown");
-      }
-      payload = save_result(result);
-      digest = result_digest(result);
-      shard_computed_.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(results_mutex_);
-        if (results_.emplace(key, payload).second) {
-          results_order_.push_back(key);
-          // Bounded FIFO: sealed results are small, but a long-lived
-          // server must not grow without limit.
-          constexpr std::size_t kMaxResults = 512;
-          if (results_order_.size() > kMaxResults) {
-            results_.erase(results_order_.front());
-            results_order_.erase(results_order_.begin());
-          }
+      if (results_.emplace(key, *shard).second) {
+        results_order_.push_back(key);
+        // Bounded FIFO: sealed results are small, but a long-lived
+        // server must not grow without limit.
+        constexpr std::size_t kMaxResults = 512;
+        if (results_order_.size() > kMaxResults) {
+          results_.erase(results_order_.front());
+          results_order_.erase(results_order_.begin());
         }
       }
-      if (store_.has_value()) {
-        std::lock_guard<std::mutex> lock(store_mutex_);
-        // Best-effort, like the model store: a full disk costs only the
-        // restart/idempotency tier, not this response.
-        (void)store_->write(result_artifact_name(key), payload);
-      }
-    } else {
-      auto decoded = load_result(payload);
-      if (decoded.ok()) digest = result_digest(*decoded);
     }
+    write_store(result_artifact_name(key), shard->payload);
   }
 
   if (result_source[0] == 'm') {
@@ -401,11 +370,11 @@ Response AttackService::handle_shard(const Request& req) {
   Response resp;
   resp.status = 200;
   resp.content_type = "application/octet-stream";
-  resp.body = std::move(payload);
+  resp.body = std::move(shard->payload);
   resp.extra_headers.emplace_back(
       "X-Run-Key",
       hex64(attack_run_key(suite.challenges(), target.config)));
-  resp.extra_headers.emplace_back("X-Result-Digest", hex64(digest));
+  resp.extra_headers.emplace_back("X-Result-Digest", hex64(shard->digest));
   resp.extra_headers.emplace_back("X-Result-Source", result_source);
   resp.extra_headers.emplace_back("X-Payload-Fnv",
                                   hex64(common::fnv1a64(resp.body)));

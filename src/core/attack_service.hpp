@@ -119,12 +119,23 @@ class AttackService {
     std::int64_t fold = 0;
     std::string config_name;
     AttackConfig config;
+    double threshold = 0;  ///< /score's LoC threshold; /shard ignores it
     const ChallengeSuite* suite = nullptr;
   };
   /// Shared /score + /shard request parsing; on failure fills `error`
   /// (and bumps bad_requests_) and returns false.
   bool parse_target(const common::http::Request& req, ShardTarget* out,
                     common::http::Response* error);
+
+  /// Locks the singleflight gate of `key`: one holder per key at a time.
+  /// /score hydration gates on model keys, /shard on salted result keys.
+  std::unique_lock<std::mutex> lock_gate(std::uint64_t key);
+
+  /// The named store artifact, if there is a store and the artifact
+  /// reads back intact; write_store is best-effort and a no-op without
+  /// a store.
+  std::optional<std::string> read_store(const std::string& name);
+  void write_store(const std::string& name, const std::string& bytes);
 
   /// Cache-or-store-or-train for one (suite, config, fold); returns the
   /// entry and labels where it came from ("hit" | "store" | "trained").
@@ -142,8 +153,8 @@ class AttackService {
   std::optional<common::CheckpointManager> store_;
   common::DiagnosticSink store_sink_;
 
-  /// Singleflight: one hydration per key at a time; concurrent misses
-  /// on the same key wait and then hit the cache.
+  /// Singleflight gates (lock_gate): concurrent misses on the same key
+  /// wait and then hit the cache or the result map.
   std::mutex inflight_mutex_;
   std::map<std::uint64_t, std::shared_ptr<std::mutex>> inflight_;
 
@@ -151,10 +162,15 @@ class AttackService {
   std::atomic<std::uint64_t> rejected_busy_{0};  ///< 503s (budget)
   std::atomic<std::uint64_t> bad_requests_{0};   ///< 4xx route-level
 
-  /// Sealed /shard result payloads by result key — the fast idempotency
-  /// tier (the persistent store is the durable one). Bounded FIFO.
+  /// Sealed /shard result payloads by result key, each beside its
+  /// result digest — the fast idempotency tier (the persistent store is
+  /// the durable one). Bounded FIFO.
+  struct ShardResult {
+    std::string payload;
+    std::uint64_t digest = 0;
+  };
   std::mutex results_mutex_;
-  std::map<std::uint64_t, std::string> results_;
+  std::map<std::uint64_t, ShardResult> results_;
   std::vector<std::uint64_t> results_order_;
 
   std::atomic<std::uint64_t> shard_requests_{0};

@@ -26,18 +26,17 @@ double wall_now_s() {
       .count();
 }
 
-/// True when a raw JSON number token is a plain integer — the form the
-/// registry renders counters and histogram counts in. Gauges go through
-/// json_num, which emits a '.' or exponent for every non-integral value;
-/// the rare integral gauge that slips through is a deterministic config
-/// echo, so summing it keeps the roll-up invariant (just meaningless),
-/// and the known gauges all render fractionally in practice.
+/// True when a raw JSON number token is a plain unsigned integer — the
+/// form the registry renders counters and histogram counts in. Gauges go
+/// through json_num, which emits a '.' or exponent for every non-integral
+/// value, and a sign for a negative one; the rare non-negative integral
+/// gauge that slips through is a deterministic config echo, so summing it
+/// keeps the roll-up invariant (just meaningless), and the known gauges
+/// all render fractionally in practice.
 bool is_integer_token(const std::string& raw) {
   if (raw.empty()) return false;
-  std::size_t i = raw[0] == '-' ? 1 : 0;
-  if (i >= raw.size()) return false;
-  for (; i < raw.size(); ++i) {
-    if (raw[i] < '0' || raw[i] > '9') return false;
+  for (const char c : raw) {
+    if (c < '0' || c > '9') return false;
   }
   return true;
 }

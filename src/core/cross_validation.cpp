@@ -79,37 +79,38 @@ std::optional<TrainedModel> ChallengeSuite::load_fold_model(
   return std::nullopt;
 }
 
-std::optional<AttackResult> ChallengeSuite::compute_fold(
-    const AttackConfig& config, const RunControl& rc, std::int64_t i,
-    std::optional<TrainedModel> model) const {
+FoldRun ChallengeSuite::compute_fold(const AttackConfig& config,
+                                     const RunControl& rc, std::int64_t i,
+                                     std::optional<TrainedModel> model) const {
   const std::size_t s = static_cast<std::size_t>(i);
   OBS_SPAN_ARG("loo.fold", i);
   OBS_COUNT("loo.folds", 1);
+  FoldRun run{std::nullopt, std::move(model)};
 
   // Budget boundary: before this fold commits to hours of work, either
   // stop (exceeded) or shed accuracy down the ladder.
   const common::BudgetPressure pressure = rc.pressure();
   if (pressure == common::BudgetPressure::kExceeded) {
     if (rc.cancel) rc.cancel->request_cancel("budget exhausted");
-    return std::nullopt;
+    return run;
   }
   AttackConfig fold_config = config;
   apply_degradation(fold_config, pressure, i);
 
-  const auto training = training_for(s);
-  if (!model) {
-    if (rc.cancelled()) return std::nullopt;
-    model = AttackEngine::train(training, fold_config);
+  if (!run.model) {
+    if (rc.cancelled()) return run;
+    run.model = AttackEngine::train(training_for(s), fold_config);
     if (rc.checkpoint && !rc.cancelled()) {
-      (void)rc.checkpoint->write(fold_model_name(i), save_model(*model));
+      (void)rc.checkpoint->write(fold_model_name(i), save_model(*run.model));
     }
   }
-  if (rc.cancelled()) return std::nullopt;
-  AttackResult res = AttackEngine::test(*model, challenges_[s], rc.cancel);
+  if (rc.cancelled()) return run;
+  AttackResult res =
+      AttackEngine::test(*run.model, challenges_[s], rc.cancel);
   // A cancelled scoring loop produced a timing-dependent subset of
   // targets; keeping it (or checkpointing it) would poison the
   // resume-determinism guarantee.
-  if (res.interrupted) return std::nullopt;
+  if (res.interrupted) return run;
   if (rc.checkpoint) {
     (void)rc.checkpoint->write(fold_result_name(i), save_result(res));
     (void)rc.checkpoint->remove(fold_model_name(i));
@@ -118,7 +119,8 @@ std::optional<AttackResult> ChallengeSuite::compute_fold(
   // whether computed here or loaded by load_fold_result, so the total is
   // identical between fresh and resumed runs.
   OBS_COUNT("loo.folds_done", 1);
-  return res;
+  run.result = std::move(res);
+  return run;
 }
 
 std::vector<std::optional<AttackResult>> ChallengeSuite::run_all_checkpointed(
@@ -150,7 +152,8 @@ std::vector<std::optional<AttackResult>> ChallengeSuite::run_all_checkpointed(
       [&](std::int64_t i) -> std::optional<AttackResult> {
         const std::size_t s = static_cast<std::size_t>(i);
         if (out[s]) return std::nullopt;  // loaded from checkpoint
-        return compute_fold(config, rc, i, std::move(models[s]));
+        // The model dies here, inside the region: only results are kept.
+        return compute_fold(config, rc, i, std::move(models[s])).result;
       },
       rc.cancel);
 
@@ -161,15 +164,17 @@ std::vector<std::optional<AttackResult>> ChallengeSuite::run_all_checkpointed(
   return out;
 }
 
-std::optional<AttackResult> ChallengeSuite::run_fold_checkpointed(
-    const AttackConfig& config, const RunControl& rc,
-    std::int64_t fold) const {
+FoldRun ChallengeSuite::run_fold_checkpointed(const AttackConfig& config,
+                                              const RunControl& rc,
+                                              std::int64_t fold) const {
   if (fold < 0 || fold >= static_cast<std::int64_t>(challenges_.size())) {
-    return std::nullopt;
+    return {};
   }
   common::DiagnosticSink local_sink;
   common::DiagnosticSink& sink = rc.sink ? *rc.sink : local_sink;
-  if (auto done = load_fold_result(rc, sink, fold)) return done;
+  if (auto done = load_fold_result(rc, sink, fold)) {
+    return {std::move(done), std::nullopt};
+  }
   return compute_fold(config, rc, fold, load_fold_model(rc, sink, fold));
 }
 

@@ -10,6 +10,16 @@
 
 namespace repro::core {
 
+/// What one fold run produced. `result` is nullopt when the fold did not
+/// complete (cancelled / budget exhausted). `model` is the fold's model
+/// when this call trained it or resumed it from the checkpoint — its
+/// config is the one the fold trained with, degradation included — and
+/// nullopt when the result itself was resumed.
+struct FoldRun {
+  std::optional<AttackResult> result;
+  std::optional<TrainedModel> model;
+};
+
 class ChallengeSuite {
  public:
   explicit ChallengeSuite(std::vector<splitmfg::SplitChallenge> challenges)
@@ -44,15 +54,14 @@ class ChallengeSuite {
   std::vector<std::optional<AttackResult>> run_all_checkpointed(
       const AttackConfig& config, const RunControl& rc) const;
 
-  /// One fold of the above, for sharded campaigns: a worker process owns
-  /// exactly fold `fold` and its own checkpoint directory. Same resume /
-  /// recompute / cancellation semantics as run_all_checkpointed
-  /// restricted to that fold; nullopt when the fold did not complete.
-  /// The fold artifact names are identical, so a shard checkpoint is
-  /// readable by the same loaders the monolithic path uses.
-  std::optional<AttackResult> run_fold_checkpointed(const AttackConfig& config,
-                                                    const RunControl& rc,
-                                                    std::int64_t fold) const;
+  /// One fold of the above: a campaign shard worker owns exactly fold
+  /// `fold` and its own checkpoint directory, and single-victim
+  /// split_attack is fold 0. Same resume / recompute / cancellation
+  /// semantics as run_all_checkpointed restricted to that fold, and the
+  /// same artifact names, so either checkpoint resumes the other. The
+  /// budget is consulted only when the fold computes.
+  FoldRun run_fold_checkpointed(const AttackConfig& config,
+                                const RunControl& rc, std::int64_t fold) const;
 
   /// Checkpoint artifact names for fold i.
   static std::string fold_result_name(std::int64_t i);
@@ -72,10 +81,10 @@ class ChallengeSuite {
                                               std::int64_t i) const;
 
   /// Trains (unless `model` resumes one) and scores fold i, recording
-  /// artifacts through rc.checkpoint. nullopt on cancel / budget stop.
-  std::optional<AttackResult> compute_fold(
-      const AttackConfig& config, const RunControl& rc, std::int64_t i,
-      std::optional<TrainedModel> model) const;
+  /// artifacts through rc.checkpoint. No result on cancel / budget stop.
+  FoldRun compute_fold(const AttackConfig& config, const RunControl& rc,
+                       std::int64_t i,
+                       std::optional<TrainedModel> model) const;
 
   std::vector<splitmfg::SplitChallenge> challenges_;
 };

@@ -1,12 +1,13 @@
 // The attack service behind split_attack_server (core/attack_service):
 // route-level validation, concurrent-client digest parity with the
-// direct engine, the warm cache / store / retrain hydration ladder, LRU
-// eviction under a small --cache-mb, budget admission, and shutdown
-// drain. Runs against a real common::http::Server on the loopback
+// direct engine, the warm cache / store / retrain hydration ladder, the
+// /shard memory / store / compute tiers, LRU eviction under a small
+// --cache-mb, budget admission, and shutdown drain. Runs against a real common::http::Server on the loopback
 // interface — the only thing these tests do not cover is the tool's
 // argv parsing (scripts/check_server.sh exercises the binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <map>
@@ -182,6 +183,14 @@ std::string shard_header(const common::http::Response& resp,
   return "";
 }
 
+common::http::Request shard_req(std::size_t fold = 0) {
+  common::http::Request req;
+  req.method = "POST";
+  req.path = "/shard";
+  req.body = score_body(fold);
+  return req;
+}
+
 TEST(AttackServer, ShardRouteAnswersRetriesIdempotently) {
   const std::string store_dir =
       (std::filesystem::temp_directory_path() /
@@ -191,13 +200,6 @@ TEST(AttackServer, ShardRouteAnswersRetriesIdempotently) {
 
   AttackService::Options opt;
   opt.store_dir = store_dir;
-  const auto shard_req = [] {
-    common::http::Request req;
-    req.method = "POST";
-    req.path = "/shard";
-    req.body = score_body(0);
-    return req;
-  };
 
   std::string first_body;
   std::string run_key;
@@ -247,6 +249,60 @@ TEST(AttackServer, ShardRouteAnswersRetriesIdempotently) {
   std::filesystem::remove_all(store_dir);
 }
 
+TEST(AttackServer, ConcurrentIdenticalShardsComputeOnce) {
+  auto service = make_service({});
+  std::vector<common::http::Response> resps(2);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < resps.size(); ++c) {
+    clients.emplace_back([&, c] { resps[c] = service->handle(shard_req()); });
+  }
+  for (std::thread& t : clients) t.join();
+
+  std::vector<std::string> sources;
+  for (const auto& resp : resps) {
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    EXPECT_EQ(shard_header(resp, "X-Result-Digest"), reference_digests()[0]);
+    sources.push_back(shard_header(resp, "X-Result-Source"));
+  }
+  // The loser of the shard gate finds the winner's result in memory.
+  std::sort(sources.begin(), sources.end());
+  EXPECT_EQ(sources, (std::vector<std::string>{"computed", "memory"}));
+  EXPECT_EQ(shard_header(resps[0], "X-Payload-Fnv"),
+            shard_header(resps[1], "X-Payload-Fnv"));
+  EXPECT_EQ(service->shard_stats().computed, 1u);
+}
+
+TEST(AttackServer, DamagedStoredShardResultIsRecomputed) {
+  const std::string store_dir =
+      (std::filesystem::temp_directory_path() /
+       "attack_server_damaged_shard_test")
+          .string();
+  std::filesystem::remove_all(store_dir);
+  AttackService::Options opt;
+  opt.store_dir = store_dir;
+  {
+    auto service = make_service(opt);
+    ASSERT_EQ(service->handle(shard_req()).status, 200);
+  }
+  const std::string path =
+      store_dir + "/" +
+      result_artifact_name(
+          fold_model_key(suite(), config_from_name("Imp-9"), 0));
+  auto bytes = common::read_file(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().to_string();
+  (*bytes)[bytes->size() / 2] ^= 0x5a;
+  ASSERT_TRUE(common::atomic_write_file(path, *bytes).ok());
+
+  // A restarted server must not vouch for the damaged bytes.
+  auto service = make_service(opt);
+  const auto resp = service->handle(shard_req());
+  ASSERT_EQ(resp.status, 200) << resp.body;
+  EXPECT_EQ(shard_header(resp, "X-Result-Source"), "computed");
+  EXPECT_EQ(shard_header(resp, "X-Result-Digest"), reference_digests()[0]);
+  EXPECT_EQ(service->shard_stats().computed, 1u);
+  std::filesystem::remove_all(store_dir);
+}
+
 TEST(AttackServer, TinyCacheEvictsAndRetrains) {
   AttackService::Options opt;
   opt.cache_bytes = 1;  // every insert evicts the previous entry
@@ -280,6 +336,8 @@ TEST(AttackServer, RejectsMalformedAndUnknownRequests) {
   EXPECT_EQ(handle("POST", "/score", "this is not json").status, 400);
   EXPECT_EQ(handle("POST", "/score", "[1, 2]").status, 400);
   EXPECT_EQ(handle("POST", "/score", "{\"layer\": 99}").status, 400);
+  // 2^32 + 8: narrowed to int it would wrap onto the layer-8 suite.
+  EXPECT_EQ(handle("POST", "/score", "{\"layer\": 4294967304}").status, 400);
   EXPECT_EQ(handle("POST", "/score", "{\"fold\": 99}").status, 400);
   EXPECT_EQ(handle("POST", "/score", "{\"fold\": -1}").status, 400);
   EXPECT_EQ(

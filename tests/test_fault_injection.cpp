@@ -9,7 +9,7 @@
 // exception, crash, hang, or silent empty result.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -238,7 +238,11 @@ class BatchIsolation : public ::testing::Test {
     lefdef::write_def(def_ss, *design_->netlist, design_->routes);
     def_text_ = def_ss.str();
 
-    dir_ = ::testing::TempDir();
+    // One directory per test: ctest runs the tests in parallel
+    // processes, which would otherwise rewrite each other's files.
+    dir_ = ::testing::TempDir() + "/batch_isolation_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
     good1_ = dir_ + "/good1.def";
     bad_ = dir_ + "/bad.def";
     good2_ = dir_ + "/good2.def";
@@ -248,11 +252,7 @@ class BatchIsolation : public ::testing::Test {
     write_file(good2_, def_text_);
   }
 
-  void TearDown() override {
-    std::remove(good1_.c_str());
-    std::remove(bad_.c_str());
-    std::remove(good2_.c_str());
-  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static void write_file(const std::string& path, const std::string& text) {
     std::ofstream os(path);

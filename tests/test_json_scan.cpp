@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace {
@@ -53,6 +54,40 @@ TEST(JsonScan, MistypedFieldsYieldTheDefaultNotACrash) {
   EXPECT_EQ(doc->get_string("s", "fallback"), "fallback");
   EXPECT_EQ(doc->get_bool("b", true), true);
   EXPECT_EQ(doc->get_u64("absent", 99), 99u);
+}
+
+TEST(JsonScan, IntegersAreWholeTokensInRange) {
+  // Request fields (/score and /shard folds and layers) arrive through
+  // these accessors: anything but an in-range whole integer is mistyped
+  // and yields the default — no rounding, saturation, wrap, or the UB of
+  // casting an out-of-range double.
+  auto doc = parse_json(
+      R"({"exp": 1e30, "frac": 1.5, "p63": 9223372036854775808,
+          "p64": 18446744073709551616, "wide": 99999999999999999999,
+          "neg": -1, "neg_hex": "-1", "over_hex": "1ffffffffffffffff",
+          "min": -9223372036854775808, "max": 9223372036854775807,
+          "umax": 18446744073709551615})");
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  EXPECT_EQ(doc->get_i64("exp", -7), -7);
+  EXPECT_EQ(doc->get_u64("exp", 7), 7u);
+  EXPECT_EQ(doc->get_i64("frac", -7), -7);
+  EXPECT_EQ(doc->get_u64("frac", 7), 7u);
+  // 2^63 overflows an i64 but fits a u64; 2^64 and beyond fit neither.
+  EXPECT_EQ(doc->get_i64("p63", -7), -7);
+  EXPECT_EQ(doc->get_u64("p63", 7), 9223372036854775808ull);
+  EXPECT_EQ(doc->get_i64("p64", -7), -7);
+  EXPECT_EQ(doc->get_u64("p64", 7), 7u);
+  EXPECT_EQ(doc->get_i64("wide", -7), -7);
+  EXPECT_EQ(doc->get_u64("wide", 7), 7u);
+  // A sign never wraps into a u64, in decimal or in hex.
+  EXPECT_EQ(doc->get_i64("neg", 7), -1);
+  EXPECT_EQ(doc->get_u64("neg", 7), 7u);
+  EXPECT_EQ(doc->get_u64("neg_hex", 7), 7u);
+  EXPECT_EQ(doc->get_u64("over_hex", 7), 7u);
+  // The limits themselves are exact.
+  EXPECT_EQ(doc->get_i64("min"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(doc->get_i64("max"), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(doc->get_u64("umax"), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(JsonScan, MalformedDocumentsAreParseErrors) {

@@ -1,8 +1,9 @@
 // Checkpoint/resume for attack campaigns: model and result artifacts
 // round-trip bit-exact, the run key isolates configurations, resumed
-// leave-one-out runs reproduce uninterrupted digests at any thread
-// count, corrupt checkpoints fall back to recompute, and the budget
-// degradation ladder takes its rungs in order while recording events.
+// leave-one-out runs — whole, or one fold at a time — reproduce
+// uninterrupted digests at any thread count, corrupt checkpoints fall
+// back to recompute, and the budget degradation ladder takes its rungs
+// in order while recording events.
 #include "core/resilience.hpp"
 
 #include <gtest/gtest.h>
@@ -384,6 +385,110 @@ TEST_F(ResilienceAttack, ResumedRunsAreBitIdenticalAcrossThreadCounts) {
           << "fold " << i << " after corrupt-checkpoint fallback";
     }
   }
+}
+
+// --- one fold: the entry point of --fold workers and single-victim mode --
+
+TEST_F(ResilienceAttack, OneFoldMatchesTheSuiteAndResumesFromEitherArtifact) {
+  const core::ChallengeSuite suite(challenges_);
+  common::set_global_threads(2);
+  constexpr std::int64_t k = 1;
+  const std::uint64_t want = core::result_digest(suite.run_all(cfg_)[k]);
+  const std::string model_name = core::ChallengeSuite::fold_model_name(k);
+  const std::string result_name = core::ChallengeSuite::fold_result_name(k);
+
+  const std::string dir = fresh_dir("one_fold");
+  const std::uint64_t key = core::attack_run_key(challenges_, cfg_);
+  common::DiagnosticSink sink;
+  auto ckpt = common::CheckpointManager::open(dir, key, sink);
+  ASSERT_TRUE(ckpt.ok());
+  core::RunControl rc;
+  rc.checkpoint = &*ckpt;
+  rc.sink = &sink;
+
+  // (a) Computed: run_all's result, and the model trained with the
+  // requested config.
+  const core::FoldRun fresh = suite.run_fold_checkpointed(cfg_, rc, k);
+  ASSERT_TRUE(fresh.result.has_value());
+  ASSERT_TRUE(fresh.model.has_value());
+  EXPECT_EQ(core::result_digest(*fresh.result), want);
+  EXPECT_EQ(fresh.model->config.name, cfg_.name);
+  EXPECT_EQ(core::attack_run_key(challenges_, fresh.model->config), key);
+  EXPECT_TRUE(ckpt->has(result_name));
+  EXPECT_FALSE(ckpt->has(model_name)) << "the result supersedes the model";
+
+  // (c) Resumed from fold_k.result: nothing was trained, so no model.
+  const core::FoldRun from_result = suite.run_fold_checkpointed(cfg_, rc, k);
+  ASSERT_TRUE(from_result.result.has_value());
+  EXPECT_FALSE(from_result.model.has_value());
+  EXPECT_EQ(core::result_digest(*from_result.result), want);
+
+  // (b) Resumed from fold_k.model — a crash between training and
+  // scoring. The model comes back too: the saved one (timings
+  // round-trip by bit pattern), not a retrained one.
+  ASSERT_TRUE(ckpt->remove(result_name).ok());
+  ASSERT_TRUE(ckpt->write(model_name, core::save_model(*fresh.model)).ok());
+  const core::FoldRun from_model = suite.run_fold_checkpointed(cfg_, rc, k);
+  ASSERT_TRUE(from_model.result.has_value());
+  ASSERT_TRUE(from_model.model.has_value());
+  EXPECT_EQ(core::result_digest(*from_model.result), want);
+  EXPECT_EQ(from_model.model->train_seconds, fresh.model->train_seconds);
+  EXPECT_FALSE(ckpt->has(model_name));
+
+  // (d) A bit-rotted fold_k.result is diagnosed and recomputed.
+  const std::string path = dir + "/" + result_name;
+  auto bytes = common::read_file(path);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[bytes->size() / 2] ^= 0x7;
+  clobber(path, *bytes);
+  common::DiagnosticSink corrupt_sink;
+  rc.sink = &corrupt_sink;
+  const core::FoldRun healed = suite.run_fold_checkpointed(cfg_, rc, k);
+  bool diagnosed = false;
+  for (const auto& d : corrupt_sink.diagnostics()) {
+    if (d.code == "checkpoint.corrupt_artifact") diagnosed = true;
+  }
+  EXPECT_TRUE(diagnosed) << "corrupt artifact must be reported, not hidden";
+  ASSERT_TRUE(healed.result.has_value());
+  EXPECT_TRUE(healed.model.has_value()) << "recomputed, so trained";
+  EXPECT_EQ(core::result_digest(*healed.result), want);
+}
+
+TEST_F(ResilienceAttack, OneFoldConsultsTheBudgetOnlyWhenItComputes) {
+  const core::ChallengeSuite suite(challenges_);
+  common::set_global_threads(2);
+  constexpr std::int64_t k = 0;
+  const std::string dir = fresh_dir("one_fold_budget");
+  common::DiagnosticSink sink;
+  auto ckpt = common::CheckpointManager::open(
+      dir, core::attack_run_key(challenges_, cfg_), sink);
+  ASSERT_TRUE(ckpt.ok());
+  core::RunControl rc;
+  rc.checkpoint = &*ckpt;
+  rc.sink = &sink;
+  const core::FoldRun done = suite.run_fold_checkpointed(cfg_, rc, k);
+  ASSERT_TRUE(done.result.has_value());
+
+  common::CancelToken cancel;
+  common::Budget budget(1e-12, 0);  // a deadline no fold can meet
+  rc.cancel = &cancel;
+  rc.budget = &budget;
+  // A finished fold answers from its checkpoint, at full fidelity: no
+  // stop, no degradation event.
+  const core::FoldRun resumed = suite.run_fold_checkpointed(cfg_, rc, k);
+  ASSERT_TRUE(resumed.result.has_value());
+  EXPECT_EQ(core::result_digest(*resumed.result),
+            core::result_digest(*done.result));
+  EXPECT_FALSE(cancel.cancelled());
+  EXPECT_TRUE(common::obs::degradation_events().empty());
+
+  // (e) A fold that would have to compute stops instead.
+  ASSERT_TRUE(
+      ckpt->remove(core::ChallengeSuite::fold_result_name(k)).ok());
+  const core::FoldRun stopped = suite.run_fold_checkpointed(cfg_, rc, k);
+  EXPECT_FALSE(stopped.result.has_value());
+  EXPECT_TRUE(cancel.cancelled());
+  EXPECT_EQ(cancel.reason(), "budget exhausted");
 }
 
 TEST_F(ResilienceAttack, CancelledRunCheckpointsNothingAndResumesClean) {

@@ -9,12 +9,12 @@
 //                --train a.def --train b.def --victim victim.def
 //
 // Crash safety and budgets: --checkpoint-dir records completed work
-// (per-fold trained models and fold results in --loo mode, the victim
-// model/result otherwise) as checksummed artifacts under DIR; --resume
-// loads whatever validates instead of recomputing it (without --resume
-// the directory is cleared first). Resumed runs produce bit-identical
-// results to uninterrupted ones at any thread count
-// (scripts/check_crash_recovery.sh proves this with a SIGKILL).
+// (each fold's trained model and result, fold_K.model / fold_K.result)
+// as checksummed artifacts under DIR; --resume loads whatever validates
+// instead of recomputing it (without --resume the directory is cleared
+// first). Resumed runs produce bit-identical results to uninterrupted
+// ones at any thread count (scripts/check_crash_recovery.sh proves this
+// with a SIGKILL).
 // --deadline-s / --max-rss-mb arm a wall-clock / peak-RSS budget:
 // under soft pressure the run sheds accuracy down a recorded
 // degradation ladder (fewer trees, then sampled targets and a smaller
@@ -43,9 +43,11 @@
 // The victim DEF must contain the full routing if ground-truth scoring is
 // wanted; a FEOL-only victim still produces candidate lists (unscored).
 // --demo ignores the file flags and runs on a freshly generated suite.
-// --loo evaluates with leave-one-out cross validation over every design
-// (victim + training set) instead of the single train -> victim split,
-// printing one row per held-out design.
+// Every mode attacks the same leave-one-out suite, [victim, training...]:
+// the single train -> victim split is its fold 0, so it checkpoints
+// fold_0.model / fold_0.result under the same run key as --loo, and
+// either mode resumes the other's fold 0. --loo evaluates every fold
+// (each design held out in turn), printing one row per held-out design.
 //
 // Ingestion is fault-isolated per design: a corrupt or invalid training DEF
 // is reported (with structured diagnostics) and skipped, and the attack
@@ -54,10 +56,10 @@
 // always fatal.
 //
 // --fold K (with --loo) runs only fold K of the suite — the shard-worker
-// mode used by split_campaign. The fold's checkpoint artifacts and run
-// key are identical to a monolithic LOO run's, and the worker speaks the
-// supervisor's exit-code protocol: 4 means the fold completed but shed
-// accuracy under budget pressure.
+// mode used by split_campaign. It runs the same one-fold code as
+// single-victim mode, with the same artifacts and run key, and speaks
+// the supervisor's exit-code protocol: 4 means the fold completed but
+// shed accuracy under budget pressure.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error,
 // 3 interrupted (signal or exhausted budget; partial state was flushed),
@@ -292,6 +294,46 @@ bool emit_obs_outputs(const Args& args, common::obs::RunReport& rep) {
   return true;
 }
 
+/// Single-victim stdout: the attack summary for fold 0.
+void print_victim_result(const Args& args, const core::ChallengeSuite& suite,
+                         const core::FoldRun& run, int num_threads,
+                         int num_train_files, int num_skipped,
+                         const core::AttackConfig& cfg) {
+  const splitmfg::SplitChallenge& victim = suite.challenge(0);
+  const core::AttackResult& res = *run.result;
+  std::printf("design:        %s\n", victim.design_name.c_str());
+  std::printf("split layer:   %d\n", victim.split_layer);
+  std::printf("v-pins:        %d\n", victim.num_vpins());
+  std::printf("threads:       %d\n", num_threads);
+  std::printf("train designs: %zu of %d (%d skipped)\n", suite.size() - 1,
+              num_train_files, num_skipped);
+  if (run.model) {
+    std::printf("train samples: %d\n", run.model->num_train_samples);
+    std::printf("phase times:   sample %.2fs, fit %.2fs, score %.2fs "
+                "(total %.2fs)\n",
+                run.model->sample_seconds, run.model->fit_seconds,
+                res.test_seconds, run.model->train_seconds + res.test_seconds);
+  }
+  std::printf("mean |LoC| @ t=%.2f: %.1f\n", args.threshold,
+              res.mean_loc_at_threshold(args.threshold));
+  if (victim.num_matching_pairs() > 0) {
+    std::printf("accuracy @ t=%.2f:   %.2f%%\n", args.threshold,
+                100 * res.accuracy_at_threshold(args.threshold));
+    if (args.pa) {
+      // The config the fold trained with (degradation included); a
+      // resumed result carries no model, so the requested one.
+      const core::PAOutcome pa = core::validated_proximity_attack(
+          res, victim, suite.training_for(0),
+          run.model ? run.model->config : cfg);
+      std::printf("PA success:          %.2f%% (fraction %.4f)\n",
+                  100 * pa.success_rate, pa.best_fraction);
+    }
+  } else {
+    std::printf("victim has no ground truth (FEOL-only view): "
+                "candidate lists only\n");
+  }
+}
+
 int run(const Args& args) {
   // Resilience services arm before ingestion so the wall-clock budget
   // covers the whole run, and ^C during a slow parse already unwinds
@@ -328,8 +370,10 @@ int run(const Args& args) {
     }
     heartbeat = std::move(*hb);
   }
-  std::vector<splitmfg::SplitChallenge> training;
-  splitmfg::SplitChallenge victim;
+  // Every mode attacks one leave-one-out suite in [victim, training...]
+  // order: --loo runs all of its folds, --fold K fold K, and
+  // single-victim mode fold 0 (train on the rest, test the victim).
+  std::vector<splitmfg::SplitChallenge> designs;
   int num_train_files = 0;
   int num_skipped = 0;
 
@@ -338,12 +382,10 @@ int run(const Args& args) {
     const double scale = synth::scale_from_env();
     std::fprintf(stderr, "[demo] generating the built-in suite (scale "
                  "%.2f)...\n", scale);
-    training = core::build_challenges(
-        synth::generate_benchmark_suite(scale), args.split);
     // The first design is the victim, the rest train.
-    victim = std::move(training.front());
-    training.erase(training.begin());
-    num_train_files = static_cast<int>(training.size());
+    designs = core::build_challenges(synth::generate_benchmark_suite(scale),
+                                     args.split);
+    num_train_files = static_cast<int>(designs.size()) - 1;
   } else {
     std::ifstream lef_in(args.lef);
     if (!lef_in) {
@@ -394,7 +436,7 @@ int run(const Args& args) {
                    num_skipped);
       return 1;
     }
-    training = batch.take_loaded();
+    std::vector<splitmfg::SplitChallenge> training = batch.take_loaded();
     if (training.empty()) {
       std::fprintf(stderr, "error: no usable training designs\n");
       return 1;
@@ -411,13 +453,14 @@ int run(const Args& args) {
       victim_sink.print(std::cerr);
       return 1;
     }
-    victim = std::move(v).value();
+    designs.push_back(std::move(v).value());
+    for (splitmfg::SplitChallenge& ch : training) {
+      designs.push_back(std::move(ch));
+    }
     common::obs::record_diagnostics("ingest.victim_diag", victim_sink);
   }
   ingest_span.end();
-
-  std::vector<const splitmfg::SplitChallenge*> train_ptrs;
-  for (const auto& ch : training) train_ptrs.push_back(&ch);
+  const core::ChallengeSuite suite(std::move(designs));
 
   const core::AttackConfig cfg = core::config_from_name(args.config);
   const int num_threads = common::global_pool().num_threads();
@@ -426,7 +469,7 @@ int run(const Args& args) {
   rep.set("tool", "split_attack")
       .set("mode", args.loo ? "loo" : "single")
       .set("config", cfg.name)
-      .set("split_layer", victim.split_layer)
+      .set("split_layer", suite.challenge(0).split_layer)
       .set("threads", num_threads)
       .set("seed", static_cast<std::int64_t>(cfg.seed))
       .set("logical_time", args.obs_logical_time)
@@ -441,102 +484,35 @@ int run(const Args& args) {
   }
 
   // Opens (or clears, without --resume) the checkpoint directory, scoped
-  // to this computation's run key. A failure to open is fatal — silently
+  // to the suite's LOO run key. A failure to open is fatal — silently
   // running uncheckpointed would defeat the point of the flag.
   common::DiagnosticSink ckpt_sink(args.checkpoint_dir);
   std::optional<common::CheckpointManager> ckpt;
-  const auto open_checkpoint = [&](std::uint64_t run_key) -> bool {
-    if (args.checkpoint_dir.empty()) return true;
+  if (!args.checkpoint_dir.empty()) {
+    const std::uint64_t run_key =
+        core::attack_run_key(suite.challenges(), cfg) ^
+        common::fnv1a64("loo");
     auto c = common::CheckpointManager::open(args.checkpoint_dir, run_key,
                                              ckpt_sink);
     if (!c.ok()) {
       std::fprintf(stderr, "error: checkpoint dir %s: %s\n",
                    args.checkpoint_dir.c_str(),
                    c.status().to_string().c_str());
-      return false;
+      return 1;
     }
     ckpt = std::move(*c);
     if (!args.resume) {
       for (const std::string& name : ckpt->names()) (void)ckpt->remove(name);
     }
     rep.set("run_key", hex64(run_key));
-    return true;
-  };
+  }
+  core::RunControl rc;
+  rc.checkpoint = ckpt ? &*ckpt : nullptr;
+  rc.cancel = &cancel;
+  rc.budget = budget.unlimited() ? nullptr : &budget;
+  rc.sink = &ckpt_sink;
 
-  if (args.loo) {
-    std::vector<splitmfg::SplitChallenge> all;
-    all.reserve(training.size() + 1);
-    all.push_back(std::move(victim));
-    for (splitmfg::SplitChallenge& ch : training) all.push_back(std::move(ch));
-    const core::ChallengeSuite suite(std::move(all));
-    if (!open_checkpoint(core::attack_run_key(suite.challenges(), cfg) ^
-                         common::fnv1a64("loo"))) {
-      return 1;
-    }
-    core::RunControl rc;
-    rc.checkpoint = ckpt ? &*ckpt : nullptr;
-    rc.cancel = &cancel;
-    rc.budget = budget.unlimited() ? nullptr : &budget;
-    rc.sink = &ckpt_sink;
-
-    if (args.fold >= 0) {
-      // Shard-worker mode: this process owns exactly one fold (the
-      // campaign supervisor owns the rest). Same run key and artifact
-      // names as a monolithic LOO run, so the shard checkpoint is
-      // interchangeable with a slice of the full one.
-      if (args.fold >= static_cast<std::int64_t>(suite.size())) {
-        std::fprintf(stderr, "error: --fold %lld outside the suite [0, %zu)\n",
-                     static_cast<long long>(args.fold), suite.size());
-        return 2;
-      }
-      const splitmfg::SplitChallenge& ch =
-          suite.challenge(static_cast<std::size_t>(args.fold));
-      std::fprintf(stderr, "LOO fold %lld of %zu: %s (%d threads)...\n",
-                   static_cast<long long>(args.fold), suite.size(),
-                   ch.design_name.c_str(), num_threads);
-      const auto res = suite.run_fold_checkpointed(cfg, rc, args.fold);
-      common::obs::set_phase("report");
-      ckpt_sink.print(std::cerr);
-      common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
-      const bool interrupted = !res;
-      std::vector<std::optional<std::uint64_t>> ds;
-      if (res) {
-        ds.emplace_back(core::result_digest(*res));
-        std::printf("%-16s %8d %12.1f\n", ch.design_name.c_str(),
-                    ch.num_vpins(),
-                    res->mean_loc_at_threshold(args.threshold));
-        std::printf("result digest: %s\n", hex64(*ds.back()).c_str());
-      } else {
-        ds.emplace_back();
-        std::fprintf(
-            stderr, "interrupted (%s): fold %lld incomplete%s\n",
-            cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
-            static_cast<long long>(args.fold),
-            ckpt ? "; checkpoint saved, rerun with --resume" : "");
-      }
-      const auto degradations = common::obs::degradation_events();
-      rep.set("fold", static_cast<std::int64_t>(args.fold))
-          .set("design", ch.design_name)
-          .set("threshold", args.threshold)
-          .set("interrupted", interrupted)
-          .set("degraded", !degradations.empty());
-      if (args.obs_enabled() && !emit_obs_outputs(args, rep)) return 1;
-      if (!args.digest_out.empty() &&
-          !write_digest_file(args.digest_out, !interrupted, {ch.design_name},
-                             ds)) {
-        return 1;
-      }
-      // The heartbeat's "final" record (written when `heartbeat` is
-      // destroyed on return) carries this phase — the supervisor's view
-      // of how the attempt ended.
-      common::obs::set_phase(interrupted ? "interrupted" : "done");
-      if (interrupted) return 3;
-      // Worker protocol: a complete-but-degraded fold exits 4 so the
-      // supervisor can account for shed accuracy without reparsing
-      // reports. The monolithic paths keep plain 0 for compatibility.
-      return degradations.empty() ? 0 : 4;
-    }
-
+  if (args.loo && args.fold < 0) {
     std::fprintf(stderr,
                  "LOO cross-validation over %zu designs (%d threads)...\n",
                  suite.size(), num_threads);
@@ -616,176 +592,96 @@ int run(const Args& args) {
     return interrupted || !complete ? 3 : 0;
   }
 
-  // Single train -> victim split, with the same resilience path as LOO:
-  // "victim.model" is checkpointed after training, "victim.result" after
-  // scoring, so a killed run resumes past whatever phase had finished.
-  {
-    std::vector<splitmfg::SplitChallenge> key_set;
-    key_set.push_back(victim);
-    for (const auto& ch : training) key_set.push_back(ch);
-    if (!open_checkpoint(core::attack_run_key(key_set, cfg) ^
-                         common::fnv1a64("single"))) {
-      return 1;
-    }
+  // One fold: fold K in shard-worker mode (the campaign supervisor owns
+  // the rest), fold 0 in single-victim mode. Same run key and artifact
+  // names as a monolithic LOO run, so either checkpoint is
+  // interchangeable with a slice of the full one.
+  const std::int64_t fold = args.loo ? args.fold : 0;
+  if (fold >= static_cast<std::int64_t>(suite.size())) {
+    std::fprintf(stderr, "error: --fold %lld outside the suite [0, %zu)\n",
+                 static_cast<long long>(fold), suite.size());
+    return 2;
   }
-  const char* kModelName = "victim.model";
-  const char* kResultName = "victim.result";
-
-  // Budget boundary before the expensive phases: degrade or stop.
-  core::AttackConfig run_cfg = cfg;
-  {
-    const common::BudgetPressure pressure =
-        budget.unlimited() ? common::BudgetPressure::kNone : budget.pressure();
-    if (pressure == common::BudgetPressure::kExceeded) {
-      cancel.request_cancel("budget exhausted");
-    } else {
-      core::apply_degradation(run_cfg, pressure);
-    }
-  }
-
-  std::optional<core::TrainedModel> model;
-  std::optional<core::AttackResult> res;
-  if (ckpt && ckpt->has(kResultName)) {
-    auto raw = ckpt->read(kResultName, ckpt_sink);
-    if (raw.ok()) {
-      auto r = core::load_result(*raw);
-      if (r.ok()) {
-        std::fprintf(stderr, "resuming: result loaded from checkpoint\n");
-        res = std::move(*r);
-      } else {
-        ckpt_sink.warning("checkpoint.corrupt_artifact", 0,
-                          std::string(kResultName) + ": " +
-                              r.status().to_string() + "; recomputing");
-        (void)ckpt->remove(kResultName);
-      }
-    }
-  }
-  if (!res) {
-    if (ckpt && ckpt->has(kModelName)) {
-      auto raw = ckpt->read(kModelName, ckpt_sink);
-      if (raw.ok()) {
-        auto m = core::load_model(*raw);
-        if (m.ok()) {
-          std::fprintf(stderr, "resuming: model loaded from checkpoint\n");
-          model = std::move(*m);
-        } else {
-          ckpt_sink.warning("checkpoint.corrupt_artifact", 0,
-                            std::string(kModelName) + ": " +
-                                m.status().to_string() + "; retraining");
-          (void)ckpt->remove(kModelName);
-        }
-      }
-    }
-    if (!model && !cancel.cancelled()) {
-      std::fprintf(stderr,
-                   "training %s on %zu of %d designs (%d skipped, %d threads)"
-                   "...\n",
-                   run_cfg.name.c_str(), training.size(), num_train_files,
-                   num_skipped, num_threads);
-      model = core::AttackEngine::train(train_ptrs, run_cfg);
-      if (ckpt && !cancel.cancelled()) {
-        (void)ckpt->write(kModelName, core::save_model(*model));
-      }
-    }
-    if (model && !cancel.cancelled()) {
-      std::fprintf(stderr, "testing %s (%d v-pins)...\n",
-                   victim.design_name.c_str(), victim.num_vpins());
-      core::AttackResult scored =
-          core::AttackEngine::test(*model, victim, &cancel);
-      if (!scored.interrupted) {
-        if (ckpt) {
-          (void)ckpt->write(kResultName, core::save_result(scored));
-          (void)ckpt->remove(kModelName);
-        }
-        res = std::move(scored);
-      }
-    }
-  }
+  const splitmfg::SplitChallenge& ch =
+      suite.challenge(static_cast<std::size_t>(fold));
+  std::fprintf(stderr, "LOO fold %lld of %zu: %s (%d threads)...\n",
+               static_cast<long long>(fold), suite.size(),
+               ch.design_name.c_str(), num_threads);
+  const core::FoldRun run = suite.run_fold_checkpointed(cfg, rc, fold);
+  common::obs::set_phase("report");
   ckpt_sink.print(std::cerr);
   common::obs::record_diagnostics("checkpoint.diag", ckpt_sink);
-
-  const bool interrupted = !res;
-  if (res) {
-    std::printf("design:        %s\n", victim.design_name.c_str());
-    std::printf("split layer:   %d\n", victim.split_layer);
-    std::printf("v-pins:        %d\n", victim.num_vpins());
-    std::printf("threads:       %d\n", num_threads);
-    std::printf("train designs: %zu of %d (%d skipped)\n", training.size(),
-                num_train_files, num_skipped);
-    if (model) {
-      std::printf("train samples: %d\n", model->num_train_samples);
-      std::printf("phase times:   sample %.2fs, fit %.2fs, score %.2fs "
-                  "(total %.2fs)\n",
-                  model->sample_seconds, model->fit_seconds, res->test_seconds,
-                  model->train_seconds + res->test_seconds);
-    }
-    std::printf("mean |LoC| @ t=%.2f: %.1f\n", args.threshold,
-                res->mean_loc_at_threshold(args.threshold));
-    if (victim.num_matching_pairs() > 0) {
-      std::printf("accuracy @ t=%.2f:   %.2f%%\n", args.threshold,
-                  100 * res->accuracy_at_threshold(args.threshold));
-      if (args.pa) {
-        const core::PAOutcome pa =
-            core::validated_proximity_attack(*res, victim, train_ptrs, run_cfg);
-        std::printf("PA success:          %.2f%% (fraction %.4f)\n",
-                    100 * pa.success_rate, pa.best_fraction);
-      }
+  const bool interrupted = !run.result;
+  std::optional<std::uint64_t> digest;
+  if (interrupted) {
+    std::fprintf(stderr, "interrupted (%s): fold %lld incomplete%s\n",
+                 cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
+                 static_cast<long long>(fold),
+                 ckpt ? "; checkpoint saved, rerun with --resume" : "");
+  } else {
+    digest = core::result_digest(*run.result);
+    if (args.loo) {
+      std::printf("%-16s %8d %12.1f\n", ch.design_name.c_str(),
+                  ch.num_vpins(),
+                  run.result->mean_loc_at_threshold(args.threshold));
     } else {
-      std::printf("victim has no ground truth (FEOL-only view): "
-                  "candidate lists only\n");
+      print_victim_result(args, suite, run, num_threads, num_train_files,
+                          num_skipped, cfg);
     }
-    std::printf("result digest: %s\n",
-                hex64(core::result_digest(*res)).c_str());
-    if (!args.out.empty()) {
-      if (!write_loc_csv(args.out, victim, *res, args.threshold)) {
-        return 1;
-      }
+    std::printf("result digest: %s\n", hex64(*digest).c_str());
+    if (!args.loo && !args.out.empty()) {
+      if (!write_loc_csv(args.out, ch, *run.result, args.threshold)) return 1;
       std::printf("LoC CSV written to %s\n", args.out.c_str());
     }
+  }
+  const bool degraded = !common::obs::degradation_events().empty();
+  if (args.loo) {
+    rep.set("fold", static_cast<std::int64_t>(fold))
+        .set("design", ch.design_name)
+        .set("threshold", args.threshold)
+        .set("interrupted", interrupted)
+        .set("degraded", degraded);
   } else {
-    std::fprintf(stderr, "interrupted (%s) before scoring completed%s\n",
-                 cancel.reason().empty() ? "signal" : cancel.reason().c_str(),
-                 ckpt ? "; checkpoint saved, rerun with --resume" : "");
-  }
-
-  rep.set("design", victim.design_name)
-      .set("train_designs", static_cast<int>(training.size()))
-      .set("num_vpins", victim.num_vpins())
-      .set("threshold", args.threshold)
-      .set("interrupted", interrupted);
-  if (interrupted && !cancel.reason().empty()) {
-    rep.set("cancel_reason", cancel.reason());
-  }
-  if (model) rep.set("train_samples", model->num_train_samples);
-  if (res) rep.set("mean_loc", res->mean_loc_at_threshold(args.threshold));
-  if (res && victim.num_matching_pairs() > 0) {
-    rep.set("accuracy", res->accuracy_at_threshold(args.threshold));
-  }
-  if (args.obs_enabled()) {
-    // Result gauges are set here, at a serial point, so the registry
-    // snapshot carries the headline numbers too.
-    common::obs::gauge("attack.threshold").set(args.threshold);
-    if (res) {
-      common::obs::gauge("attack.mean_loc")
-          .set(res->mean_loc_at_threshold(args.threshold));
-      if (victim.num_matching_pairs() > 0) {
-        common::obs::gauge("attack.accuracy")
-            .set(res->accuracy_at_threshold(args.threshold));
-      }
+    rep.set("design", ch.design_name)
+        .set("train_designs", static_cast<int>(suite.size()) - 1)
+        .set("num_vpins", ch.num_vpins())
+        .set("threshold", args.threshold)
+        .set("interrupted", interrupted);
+    if (interrupted && !cancel.reason().empty()) {
+      rep.set("cancel_reason", cancel.reason());
     }
-    if (!emit_obs_outputs(args, rep)) return 1;
-  }
-  if (!args.digest_out.empty()) {
-    std::vector<std::optional<std::uint64_t>> ds;
-    ds.emplace_back(res ? std::optional<std::uint64_t>(
-                              core::result_digest(*res))
-                        : std::nullopt);
-    if (!write_digest_file(args.digest_out, !interrupted,
-                           {victim.design_name}, ds)) {
-      return 1;
+    if (run.model) rep.set("train_samples", run.model->num_train_samples);
+    const double loc =
+        run.result ? run.result->mean_loc_at_threshold(args.threshold) : 0;
+    const bool has_accuracy = run.result && ch.num_matching_pairs() > 0;
+    const double acc =
+        has_accuracy ? run.result->accuracy_at_threshold(args.threshold) : 0;
+    if (run.result) rep.set("mean_loc", loc);
+    if (has_accuracy) rep.set("accuracy", acc);
+    if (args.obs_enabled()) {
+      // Headline gauges, set at a serial point so the registry snapshot
+      // carries them too. Shard workers set none, so campaign roll-ups
+      // see only their counters.
+      common::obs::gauge("attack.threshold").set(args.threshold);
+      if (run.result) common::obs::gauge("attack.mean_loc").set(loc);
+      if (has_accuracy) common::obs::gauge("attack.accuracy").set(acc);
     }
   }
-  return interrupted ? 3 : 0;
+  if (args.obs_enabled() && !emit_obs_outputs(args, rep)) return 1;
+  if (!args.digest_out.empty() &&
+      !write_digest_file(args.digest_out, !interrupted, {ch.design_name},
+                         {digest})) {
+    return 1;
+  }
+  // The heartbeat's "final" record (written when `heartbeat` is
+  // destroyed on return) carries this phase — the supervisor's view of
+  // how the attempt ended.
+  common::obs::set_phase(interrupted ? "interrupted" : "done");
+  if (interrupted) return 3;
+  // Worker protocol: a complete-but-degraded fold exits 4 so the
+  // supervisor can account for shed accuracy without reparsing reports.
+  // Single-victim mode keeps plain 0 for compatibility.
+  return args.loo && degraded ? 4 : 0;
 }
 
 }  // namespace
