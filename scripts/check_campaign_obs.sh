@@ -20,7 +20,8 @@
 #      and the status document shape with python3,
 #   6. runs obs_report --once over the finished campaign (exit 0) and
 #      exercises its HTTP listener: GET /status must return the live
-#      status JSON, GET /metrics the Prometheus text exposition.
+#      status JSON, GET /metrics the Prometheus text exposition with
+#      the watcher's obs_report_{scans,reused}_total counters.
 #
 # scripts/ci.sh runs this under a hard `timeout`: a missed stall kill
 # (the hang would otherwise sit until the 120s timeout, three times)
@@ -193,6 +194,13 @@ metrics = urllib.request.urlopen(
 assert "campaign_shards_ok 5" in metrics, metrics[:400]
 assert "campaign_loo_folds_done_total 5" in metrics, metrics[:400]
 assert "campaign_shard_rss_peak_mb" in metrics
+# The watcher's own counters: /status scanned the finished campaign
+# once, and /metrics was answered from that cached snapshot.
+lines = metrics.splitlines()
+assert "# TYPE obs_report_scans_total counter" in lines, metrics[-400:]
+assert "obs_report_scans_total 1" in lines, metrics[-400:]
+assert "# TYPE obs_report_reused_total counter" in lines, metrics[-400:]
+assert "obs_report_reused_total 1" in lines, metrics[-400:]
 print("   GET /status and /metrics served the finished campaign")
 EOF
 kill "$SERVER" 2>/dev/null || true

@@ -1,14 +1,17 @@
 #!/bin/bash
 # Chaos differential for the distributed campaign dispatcher:
 #
-#   1. builds split_attack + split_campaign + split_attack_server,
+#   1. builds split_attack + split_campaign + split_attack_server +
+#      obs_report,
 #   2. runs the 10-shard demo campaign (layers 6,8 x 5 LOO folds)
 #      locally to get the reference digest file,
 #   3. starts TWO demo attack servers serving both layers, runs the
 #      same campaign with --remote over both, and SIGKILLs one server
 #      mid-campaign: the dispatcher must fail over to the survivor,
 #      the campaign must complete, and the digest file must be
-#      byte-identical to the local reference,
+#      byte-identical to the local reference; obs_report, reading only
+#      the campaign directory, must report the same fleet counters as
+#      the campaign's own report,
 #   4. reruns remotely with REPRO_FAULT=net_truncate:0 in the
 #      *supervisor's* environment (the fetches happen in-process): the
 #      torn response fails the X-Payload-Fnv check, is retried, and is
@@ -34,10 +37,12 @@ trap 'kill -9 "$SRV1" "$SRV2" 2>/dev/null || true; rm -rf "$OUT"' EXIT
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target split_attack split_campaign split_attack_server >/dev/null
+  --target split_attack split_campaign split_attack_server obs_report \
+  >/dev/null
 
 CAMPAIGN="$BUILD_DIR/tools/split_campaign"
 SERVER="$BUILD_DIR/tools/split_attack_server"
+REPORT="$BUILD_DIR/tools/obs_report"
 
 echo "== remote campaign: local 10-shard reference =="
 REPRO_SCALE="$SCALE" "$CAMPAIGN" --demo --layers 6,8 \
@@ -111,6 +116,28 @@ if [ "$FAILOVERS" -lt 1 ] && [ "$REMOTE_OK" -lt 10 ]; then
   exit 1
 fi
 echo "   digests byte-identical; $FAILOVERS failover(s), $REMOTE_OK remote shards"
+
+# The fleet block round-trips through campaign.json: a file-only
+# observer sees the counters the supervisor reported. Breaker state is
+# skipped — an open breaker turns half-open as the clock runs.
+"$REPORT" --campaign-dir "$OUT/chaos" --json >"$OUT/chaos-obs.json" || {
+  echo "FAIL: obs_report --json failed on the chaos campaign"
+  exit 1
+}
+python3 - "$OUT/chaos-report.json" "$OUT/chaos-obs.json" <<'EOF'
+import json, sys
+
+report = json.load(open(sys.argv[1]))["remote"]
+seen = json.load(open(sys.argv[2]))["remote"]
+for key in ("requests", "retries", "failovers", "breaker_trips",
+            "local_fallbacks", "remote_ok"):
+    assert seen[key] == report[key], (key, seen[key], report[key])
+strip = lambda eps: [(e["endpoint"], e["requests"], e["failures"])
+                     for e in eps]
+assert strip(seen["endpoints"]) == strip(report["endpoints"]), \
+    (seen["endpoints"], report["endpoints"])
+print("   obs_report reads back the same fleet counters")
+EOF
 
 echo "== remote campaign: injected torn response (net_truncate:0) =="
 REPRO_SCALE="$SCALE" REPRO_FAULT=net_truncate:0 "$CAMPAIGN" \

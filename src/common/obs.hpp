@@ -46,6 +46,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace repro::common {
@@ -139,6 +140,7 @@ Histogram& histogram(std::string_view name, std::span<const double> edges);
 /// One serialized metric, for tests and custom reporting.
 struct MetricSnapshot {
   enum class Kind { kCounter, kGauge, kHistogram };
+  using Labels = std::vector<std::pair<std::string, std::string>>;
   Kind kind = Kind::kCounter;
   std::string name;
   std::uint64_t count = 0;             ///< counter value / histogram total
@@ -146,6 +148,21 @@ struct MetricSnapshot {
   std::vector<double> edges;           ///< histogram only
   std::vector<std::uint64_t> buckets;  ///< histogram only
   std::int64_t sum_micros = 0;         ///< histogram only (see Histogram)
+  Labels labels;                       ///< rendered in order; registry: none
+
+  /// Samples of series that live outside the registry (per-instance
+  /// server and watcher counters, campaign state read from files), for
+  /// prometheus_text (common/telemetry.hpp).
+  static MetricSnapshot counter(std::string name, std::uint64_t count,
+                                Labels labels = {}) {
+    return {Kind::kCounter, std::move(name), count, 0, {}, {}, 0,
+            std::move(labels)};
+  }
+  static MetricSnapshot gauge(std::string name, double value,
+                              Labels labels = {}) {
+    return {Kind::kGauge, std::move(name), 0, value, {}, {}, 0,
+            std::move(labels)};
+  }
 };
 
 /// Every registered metric, sorted by name.

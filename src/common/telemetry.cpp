@@ -351,39 +351,62 @@ std::string render_double(double v) {
   return json_num(v);
 }
 
+/// `k="v",...`, each value escaped as the text format requires (\ "
+/// newline), so a string read from a file stays inside its quotes.
+std::string label_pairs(const MetricSnapshot::Labels& labels) {
+  std::string out;
+  for (const auto& [key, value] : labels) {
+    out += (out.empty() ? "" : ",") + key + "=\"";
+    for (const char c : value) {
+      if (c == '\\' || c == '"' || c == '\n') out += '\\';
+      out += c == '\n' ? 'n' : c;
+    }
+    out += '"';
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string prometheus_text(const std::vector<MetricSnapshot>& metrics,
                             std::string_view prefix) {
   std::string out;
+  std::string last_type;  // one # TYPE line per run of same-named samples
+  const auto type_line = [&](const std::string& family, const char* type) {
+    const std::string line = "# TYPE " + family + " " + type + "\n";
+    if (line != last_type) out += line;
+    last_type = line;
+  };
   for (const auto& m : metrics) {
     const std::string name = sanitize_metric_name(prefix, m.name);
+    const std::string pairs = label_pairs(m.labels);
+    const std::string labels = pairs.empty() ? "" : "{" + pairs + "}";
     switch (m.kind) {
       case MetricSnapshot::Kind::kCounter:
-        out += "# TYPE " + name + "_total counter\n";
-        out += name + "_total " + std::to_string(m.count) + "\n";
+        type_line(name + "_total", "counter");
+        out += name + "_total" + labels + " " + std::to_string(m.count) + "\n";
         break;
       case MetricSnapshot::Kind::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + render_double(m.value) + "\n";
+        type_line(name, "gauge");
+        out += name + labels + " " + render_double(m.value) + "\n";
         break;
       case MetricSnapshot::Kind::kHistogram: {
-        out += "# TYPE " + name + " histogram\n";
+        type_line(name, "histogram");
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i < m.buckets.size(); ++i) {
           cum += m.buckets[i];
           const std::string le =
               i < m.edges.size() ? render_double(m.edges[i]) : "+Inf";
-          out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) +
-                 "\n";
+          out += name + "_bucket{" + pairs + (pairs.empty() ? "" : ",") +
+                 "le=\"" + le + "\"} " + std::to_string(cum) + "\n";
         }
         // _sum is mandatory in the exposition format (it is what makes
         // rate(x_sum)/rate(x_count) averages possible); rendered from
         // the histogram's exact micro-unit integer sum.
-        out += name + "_sum " +
+        out += name + "_sum" + labels + " " +
                render_double(static_cast<double>(m.sum_micros) / 1e6) +
                "\n";
-        out += name + "_count " + std::to_string(cum) + "\n";
+        out += name + "_count" + labels + " " + std::to_string(cum) + "\n";
         break;
       }
     }
@@ -392,12 +415,12 @@ std::string prometheus_text(const std::vector<MetricSnapshot>& metrics,
 }
 
 std::string prometheus_text() {
-  std::string out = prometheus_text(snapshot_metrics(), "repro_");
-  out += "# TYPE repro_rss_mb gauge\nrepro_rss_mb " +
-         std::to_string(rss_mb()) + "\n";
-  out += "# TYPE repro_rss_peak_mb gauge\nrepro_rss_peak_mb " +
-         std::to_string(rss_peak_mb()) + "\n";
-  return out;
+  std::vector<MetricSnapshot> metrics = snapshot_metrics();
+  metrics.push_back(
+      MetricSnapshot::gauge("rss_mb", static_cast<double>(rss_mb())));
+  metrics.push_back(
+      MetricSnapshot::gauge("rss_peak_mb", static_cast<double>(rss_peak_mb())));
+  return prometheus_text(metrics, "repro_");
 }
 
 }  // namespace repro::common::obs

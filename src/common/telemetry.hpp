@@ -201,16 +201,16 @@ class Heartbeat {
 
 // --- Prometheus exposition --------------------------------------------------
 
-/// Renders the current metrics registry plus the RSS samples in the
-/// Prometheus text format (metric names sanitized: non-[a-zA-Z0-9_]
-/// bytes become '_', prefixed "repro_"). Counters emit `_total`,
-/// histograms cumulative `_bucket{le=...}` plus `_count`.
-std::string prometheus_text();
-
-/// Same rendering over an explicit snapshot with a caller-chosen prefix
-/// (the campaign roll-up uses "campaign_").
+/// The one Prometheus text renderer behind every /metrics route. Names
+/// are sanitized (non-[a-zA-Z0-9_] bytes become '_') and prefixed;
+/// counters emit `_total`, histograms `_bucket{le=...}`, `_sum` and
+/// `_count`. A run of same-named samples shares one TYPE line, and label
+/// values are escaped, so a string read from a file stays in its quotes.
 struct MetricSnapshot;  // obs.hpp
 std::string prometheus_text(const std::vector<MetricSnapshot>& metrics,
                             std::string_view prefix);
+
+/// The current metrics registry plus the RSS samples, prefixed "repro_".
+std::string prometheus_text();
 
 }  // namespace repro::common::obs

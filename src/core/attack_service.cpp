@@ -427,40 +427,32 @@ Response AttackService::handle_status() const {
 }
 
 Response AttackService::handle_metrics() const {
-  std::string out = common::obs::prometheus_text();
+  // Per-instance counters stay out of the process-global registry
+  // (DESIGN §12) and share only its renderer.
+  using M = common::obs::MetricSnapshot;
   const ArtifactCache::Stats cs = cache_->stats();
-  const auto counter_line = [&out](const char* name, std::uint64_t v) {
-    out += std::string("# TYPE ") + name + " counter\n";
-    out += std::string(name) + " " + std::to_string(v) + "\n";
+  const ShardStats ss = shard_stats();
+  const std::vector<M> server = {
+      M::counter("cache_hits", cs.hits),
+      M::counter("cache_misses", cs.misses),
+      M::counter("cache_evictions", cs.evictions),
+      M::counter("cache_inserts", cs.inserts),
+      M::gauge("cache_entries", static_cast<double>(cs.entries)),
+      M::gauge("cache_bytes", static_cast<double>(cs.bytes)),
+      M::counter("requests_scored", requests_scored()),
+      M::counter("requests_rejected",
+                 rejected_busy_.load(std::memory_order_relaxed)),
+      M::counter("bad_requests", bad_requests_.load(std::memory_order_relaxed)),
+      M::counter("shard_requests", ss.requests),
+      M::counter("shard_computed", ss.computed),
+      M::counter("shard_memory_hits", ss.memory_hits),
+      M::counter("shard_store_hits", ss.store_hits),
   };
-  const auto gauge_line = [&out](const char* name, std::uint64_t v) {
-    out += std::string("# TYPE ") + name + " gauge\n";
-    out += std::string(name) + " " + std::to_string(v) + "\n";
-  };
-  counter_line("server_cache_hits_total", cs.hits);
-  counter_line("server_cache_misses_total", cs.misses);
-  counter_line("server_cache_evictions_total", cs.evictions);
-  counter_line("server_cache_inserts_total", cs.inserts);
-  gauge_line("server_cache_entries", cs.entries);
-  gauge_line("server_cache_bytes", cs.bytes);
-  counter_line("server_requests_scored_total",
-               scored_.load(std::memory_order_relaxed));
-  counter_line("server_requests_rejected_total",
-               rejected_busy_.load(std::memory_order_relaxed));
-  counter_line("server_bad_requests_total",
-               bad_requests_.load(std::memory_order_relaxed));
-  counter_line("server_shard_requests_total",
-               shard_requests_.load(std::memory_order_relaxed));
-  counter_line("server_shard_computed_total",
-               shard_computed_.load(std::memory_order_relaxed));
-  counter_line("server_shard_memory_hits_total",
-               shard_memory_hits_.load(std::memory_order_relaxed));
-  counter_line("server_shard_store_hits_total",
-               shard_store_hits_.load(std::memory_order_relaxed));
   Response resp;
   resp.status = 200;
   resp.content_type = "text/plain; version=0.0.4";
-  resp.body = std::move(out);
+  resp.body = common::obs::prometheus_text() +
+              common::obs::prometheus_text(server, "server_");
   return resp;
 }
 

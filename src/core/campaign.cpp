@@ -10,6 +10,7 @@
 #include "common/binio.hpp"
 #include "common/checkpoint.hpp"
 #include "common/fault.hpp"
+#include "common/http.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/lockfile.hpp"
@@ -17,6 +18,7 @@
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "core/campaign_obs.hpp"
+#include "core/campaign_remote.hpp"
 #include "core/cross_validation.hpp"
 #include "core/resilience.hpp"
 
@@ -53,22 +55,13 @@ double wall_now_s() {
 
 double retry_backoff_ms(const CampaignOptions& options,
                         const ShardSpec& spec, int attempt) {
-  if (attempt < 1) attempt = 1;
-  double base = options.backoff_base_ms;
-  for (int i = 1; i < attempt && base < options.backoff_max_ms; ++i) {
-    base *= 2.0;
-  }
-  base = std::min(base, options.backoff_max_ms);
-  // Deterministic jitter into [0.5, 1.0): hash (seed, shard id,
-  // attempt) so concurrent failures spread out but every schedule is
-  // replayable. 53 bits -> double, same recipe as http::retry_backoff_ms.
-  const std::uint64_t stream = common::derive_seed(
-      options.backoff_jitter_seed, common::fnv1a64(spec.id()));
-  const std::uint64_t h =
-      common::derive_seed(stream, static_cast<std::uint64_t>(attempt));
-  const double u =
-      static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-  return base * (0.5 + 0.5 * u);
+  // http's schedule, on a per-shard jitter stream.
+  common::http::RetryPolicy policy;
+  policy.backoff_base_ms = options.backoff_base_ms;
+  policy.backoff_max_ms = options.backoff_max_ms;
+  policy.jitter_seed = common::derive_seed(options.backoff_jitter_seed,
+                                           common::fnv1a64(spec.id()));
+  return common::http::retry_backoff_ms(policy, attempt);
 }
 
 common::SpawnOptions prepare_worker_spawn(const WorkerCommand& command,
@@ -320,11 +313,7 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
     const double elapsed_s =
         std::chrono::duration<double>(Clock::now() - campaign_start).count();
     compute_totals(&snap, final_mode ? -1 : elapsed_s);
-    if (remote_ != nullptr) {
-      snap.remote = true;
-      snap.remote_stats = remote_->remote_stats();
-      snap.remote_endpoints = remote_->remote_endpoints();
-    }
+    if (remote_ != nullptr) snap.remote = remote_->fleet();
     return snap;
   };
   const auto write_status = [&](bool final_mode) {
@@ -640,11 +629,7 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
                     rollup.status().to_string());
     }
   }
-  if (remote_ != nullptr) {
-    out.remote = true;
-    out.remote_stats = remote_->remote_stats();
-    out.remote_endpoints = remote_->remote_endpoints();
-  }
+  if (remote_ != nullptr) out.remote = remote_->fleet();
   write_status(/*final_mode=*/true);
   return out;
 }
@@ -699,34 +684,7 @@ void CampaignSupervisor::persist_state(const std::vector<ShardState>& shards) {
   if (remote_ != nullptr) {
     // Fleet-health counters ride in the state table so obs_report (and
     // any file-only observer) sees them without supervisor cooperation.
-    const RemoteDispatchStats rs = remote_->remote_stats();
-    std::vector<std::string> eps;
-    for (const RemoteEndpointObs& ep : remote_->remote_endpoints()) {
-      eps.push_back(common::JsonObject()
-                        .field("endpoint", ep.label)
-                        .field("state", ep.state)
-                        .field("requests",
-                               static_cast<unsigned long>(ep.requests))
-                        .field("failures",
-                               static_cast<unsigned long>(ep.failures))
-                        .str());
-    }
-    top.field_raw("remote",
-                  common::JsonObject()
-                      .field("requests",
-                             static_cast<unsigned long>(rs.requests))
-                      .field("retries",
-                             static_cast<unsigned long>(rs.retries))
-                      .field("failovers",
-                             static_cast<unsigned long>(rs.failovers))
-                      .field("breaker_trips",
-                             static_cast<unsigned long>(rs.breaker_trips))
-                      .field("local_fallbacks",
-                             static_cast<unsigned long>(rs.local_fallbacks))
-                      .field("remote_ok",
-                             static_cast<unsigned long>(rs.remote_ok))
-                      .field_raw("endpoints", common::json_array(eps))
-                      .str());
+    top.field_raw("remote", render_remote_fleet(remote_->fleet()));
   }
   const std::string json = top.str();
   const common::Status s = common::atomic_write_file(

@@ -61,6 +61,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,8 @@
 #include "core/campaign_obs.hpp"
 
 namespace repro::core {
+
+class RemoteDispatcher;  // campaign_remote.hpp
 
 /// One unit of supervised work: fold `fold` of the LOO suite at split
 /// layer `layer`.
@@ -168,10 +171,8 @@ struct CampaignOutcome {
   /// worker and thread counts — see campaign_obs.hpp.
   std::string rollup_json;
   std::uint64_t rollup_digest = 0;
-  /// Remote dispatch (set_remote campaigns only).
-  bool remote = false;
-  RemoteDispatchStats remote_stats;
-  std::vector<RemoteEndpointObs> remote_endpoints;
+  /// Fleet health (set_remote campaigns only).
+  std::optional<RemoteFleet> remote;
 };
 
 /// Builds the worker command line for (shard, shard checkpoint dir,
@@ -243,16 +244,6 @@ common::SpawnOptions prepare_worker_spawn(const WorkerCommand& command,
 std::unique_ptr<ShardExecution> make_local_execution(
     common::Subprocess proc);
 
-/// Live source of remote-dispatch counters, implemented by the remote
-/// backend; the supervisor snapshots it into campaign.json, the status
-/// document, and the outcome.
-class RemoteStatsProvider {
- public:
-  virtual ~RemoteStatsProvider() = default;
-  virtual RemoteDispatchStats remote_stats() const = 0;
-  virtual std::vector<RemoteEndpointObs> remote_endpoints() const = 0;
-};
-
 /// The deterministic jittered backoff delay before retry `attempt`
 /// (1-based count of failed attempts) of `spec`: see
 /// CampaignOptions::backoff_jitter_seed.
@@ -274,10 +265,10 @@ class CampaignSupervisor {
     launcher_ = std::move(launcher);
   }
 
-  /// Attaches a remote-dispatch stats source; its counters are embedded
-  /// in campaign.json, the status document, and the outcome. Call
-  /// before run(); the provider must outlive it.
-  void set_remote(const RemoteStatsProvider* remote) { remote_ = remote; }
+  /// Attaches the remote dispatcher whose fleet health is embedded in
+  /// campaign.json, the status document, and the outcome. Call before
+  /// run(); the dispatcher must outlive it.
+  void set_remote(const RemoteDispatcher* remote) { remote_ = remote; }
 
   /// Runs the campaign to completion (or cancellation). Fails fast with
   /// kFailedPrecondition if another supervisor holds the campaign lock.
@@ -303,7 +294,7 @@ class CampaignSupervisor {
   ShardValidator validator_;
   common::DiagnosticSink& sink_;
   ShardLauncher launcher_;  ///< empty = local subprocess backend
-  const RemoteStatsProvider* remote_ = nullptr;
+  const RemoteDispatcher* remote_ = nullptr;
 };
 
 /// Default validator for attack shards: opens the shard's checkpoint

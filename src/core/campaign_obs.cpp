@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 
 #include "common/binio.hpp"
@@ -153,41 +152,58 @@ std::string render_campaign_status(const CampaignObsSnapshot& snap,
   // Live-mode only: the counters depend on wall-clock races (retries,
   // failovers), so the final document keeps its deterministic contract.
   if (!final_mode && snap.remote) {
-    std::vector<std::string> eps;
-    eps.reserve(snap.remote_endpoints.size());
-    for (const RemoteEndpointObs& ep : snap.remote_endpoints) {
-      eps.push_back(JsonObject()
-                        .field("endpoint", ep.label)
-                        .field("state", ep.state)
-                        .field("requests",
-                               static_cast<unsigned long>(ep.requests))
-                        .field("failures",
-                               static_cast<unsigned long>(ep.failures))
-                        .str());
-    }
-    const RemoteDispatchStats& rs = snap.remote_stats;
-    obj.field_raw("remote",
-                  JsonObject()
-                      .field("requests",
-                             static_cast<unsigned long>(rs.requests))
-                      .field("retries",
-                             static_cast<unsigned long>(rs.retries))
-                      .field("failovers",
-                             static_cast<unsigned long>(rs.failovers))
-                      .field("breaker_trips",
-                             static_cast<unsigned long>(rs.breaker_trips))
-                      .field("local_fallbacks",
-                             static_cast<unsigned long>(rs.local_fallbacks))
-                      .field("remote_ok",
-                             static_cast<unsigned long>(rs.remote_ok))
-                      .field_raw("endpoints", common::json_array(eps))
-                      .str());
+    obj.field_raw("remote", render_remote_fleet(*snap.remote));
   }
   if (!snap.rollup_json.empty()) {
     obj.field_raw("rollup", snap.rollup_json)
         .field("rollup_digest", hex64(snap.rollup_digest));
   }
   return obj.str();
+}
+
+std::string render_remote_fleet(const RemoteFleet& fleet) {
+  std::vector<std::string> eps;
+  eps.reserve(fleet.endpoints.size());
+  for (const RemoteEndpointObs& ep : fleet.endpoints) {
+    eps.push_back(
+        JsonObject()
+            .field("endpoint", ep.label)
+            .field("state", ep.state)
+            .field("requests", static_cast<unsigned long>(ep.requests))
+            .field("failures", static_cast<unsigned long>(ep.failures))
+            .str());
+  }
+  const RemoteDispatchStats& rs = fleet.stats;
+  return JsonObject()
+      .field("requests", static_cast<unsigned long>(rs.requests))
+      .field("retries", static_cast<unsigned long>(rs.retries))
+      .field("failovers", static_cast<unsigned long>(rs.failovers))
+      .field("breaker_trips", static_cast<unsigned long>(rs.breaker_trips))
+      .field("local_fallbacks",
+             static_cast<unsigned long>(rs.local_fallbacks))
+      .field("remote_ok", static_cast<unsigned long>(rs.remote_ok))
+      .field_raw("endpoints", common::json_array(eps))
+      .str();
+}
+
+RemoteFleet parse_remote_fleet(const JsonValue& block) {
+  RemoteFleet fleet;
+  RemoteDispatchStats& rs = fleet.stats;
+  rs.requests = block.get_u64("requests", 0);
+  rs.retries = block.get_u64("retries", 0);
+  rs.failovers = block.get_u64("failovers", 0);
+  rs.breaker_trips = block.get_u64("breaker_trips", 0);
+  rs.local_fallbacks = block.get_u64("local_fallbacks", 0);
+  rs.remote_ok = block.get_u64("remote_ok", 0);
+  if (const JsonValue* eps = block.find("endpoints");
+      eps != nullptr && eps->is_array()) {
+    for (const JsonValue& ep : eps->items) {
+      fleet.endpoints.push_back(RemoteEndpointObs{
+          ep.get_string("endpoint"), ep.get_string("state", "closed"),
+          ep.get_u64("requests", 0), ep.get_u64("failures", 0)});
+    }
+  }
+  return fleet;
 }
 
 common::StatusOr<MetricsRollup> rollup_shard_metrics(
@@ -361,34 +377,10 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
 
   CampaignObsSnapshot snap;
   // Remote campaigns persist their fleet counters alongside the shard
-  // table (campaign.cpp persist_state); a file-only observer carries
-  // them into the snapshot verbatim.
+  // table (campaign.cpp persist_state).
   if (const JsonValue* rem = doc->find("remote");
       rem != nullptr && rem->is_object()) {
-    snap.remote = true;
-    snap.remote_stats.requests =
-        static_cast<std::uint64_t>(rem->get_i64("requests", 0));
-    snap.remote_stats.retries =
-        static_cast<std::uint64_t>(rem->get_i64("retries", 0));
-    snap.remote_stats.failovers =
-        static_cast<std::uint64_t>(rem->get_i64("failovers", 0));
-    snap.remote_stats.breaker_trips =
-        static_cast<std::uint64_t>(rem->get_i64("breaker_trips", 0));
-    snap.remote_stats.local_fallbacks =
-        static_cast<std::uint64_t>(rem->get_i64("local_fallbacks", 0));
-    snap.remote_stats.remote_ok =
-        static_cast<std::uint64_t>(rem->get_i64("remote_ok", 0));
-    if (const JsonValue* eps = rem->find("endpoints");
-        eps != nullptr && eps->is_array()) {
-      for (const JsonValue& epv : eps->items) {
-        RemoteEndpointObs ep;
-        ep.label = epv.get_string("endpoint");
-        ep.state = epv.get_string("state", "closed");
-        ep.requests = static_cast<std::uint64_t>(epv.get_i64("requests", 0));
-        ep.failures = static_cast<std::uint64_t>(epv.get_i64("failures", 0));
-        snap.remote_endpoints.push_back(std::move(ep));
-      }
-    }
+    snap.remote = parse_remote_fleet(*rem);
   }
   const double now = wall_now_s();
   double first_t = 0;
@@ -400,8 +392,7 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
     row.status = rowv.get_string("status", "pending");
     row.attempts = static_cast<int>(rowv.get_i64("attempts", 0));
     row.degraded = rowv.get_bool("degraded", false);
-    row.digest = std::strtoull(rowv.get_string("digest", "0").c_str(),
-                               nullptr, 16);
+    row.digest = rowv.get_u64("digest", 0);
     row.ever_stalled = rowv.get_bool("stalled", false);
 
     // Live telemetry beats the (possibly stale) persisted snapshot.
@@ -463,60 +454,49 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
 }
 
 std::string campaign_prometheus_text(const CampaignObsSnapshot& snap) {
-  std::string out;
-  const auto gauge_line = [&out](const std::string& name, long v) {
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + std::to_string(v) + "\n";
-  };
-  gauge_line("campaign_shards_total", snap.shards_total);
-  gauge_line("campaign_shards_ok", snap.shards_ok);
-  gauge_line("campaign_shards_running", snap.shards_running);
-  gauge_line("campaign_shards_pending", snap.shards_pending);
-  gauge_line("campaign_shards_quarantined", snap.shards_quarantined);
-  gauge_line("campaign_shards_stalled",
-             static_cast<long>(snap.stalled_shards.size()));
-  out += "# TYPE campaign_shard_progress gauge\n";
+  using M = common::obs::MetricSnapshot;
+  std::vector<M> metrics = {
+      M::gauge("shards_total", snap.shards_total),
+      M::gauge("shards_ok", snap.shards_ok),
+      M::gauge("shards_running", snap.shards_running),
+      M::gauge("shards_pending", snap.shards_pending),
+      M::gauge("shards_quarantined", snap.shards_quarantined),
+      M::gauge("shards_stalled",
+               static_cast<double>(snap.stalled_shards.size()))};
   for (const ShardObsRow& row : snap.rows) {
     if (!row.has_telemetry) continue;
-    out += "campaign_shard_progress{shard=\"" + row.id + "\"} " +
-           std::to_string(row.last.progress) + "\n";
+    metrics.push_back(M::gauge("shard_progress",
+                               static_cast<double>(row.last.progress),
+                               {{"shard", row.id}}));
   }
-  out += "# TYPE campaign_shard_rss_peak_mb gauge\n";
   for (const ShardObsRow& row : snap.rows) {
     if (!row.has_telemetry) continue;
-    out += "campaign_shard_rss_peak_mb{shard=\"" + row.id + "\"} " +
-           std::to_string(row.last.rss_peak_mb) + "\n";
+    metrics.push_back(M::gauge("shard_rss_peak_mb",
+                               static_cast<double>(row.last.rss_peak_mb),
+                               {{"shard", row.id}}));
   }
   if (snap.remote) {
-    const auto counter_line = [&out](const std::string& name,
-                                     std::uint64_t v) {
-      out += "# TYPE " + name + " counter\n";
-      out += name + " " + std::to_string(v) + "\n";
-    };
-    counter_line("campaign_remote_requests_total",
-                 snap.remote_stats.requests);
-    counter_line("campaign_remote_retries_total", snap.remote_stats.retries);
-    counter_line("campaign_remote_failovers_total",
-                 snap.remote_stats.failovers);
-    counter_line("campaign_remote_breaker_trips_total",
-                 snap.remote_stats.breaker_trips);
-    counter_line("campaign_remote_local_fallbacks_total",
-                 snap.remote_stats.local_fallbacks);
-    counter_line("campaign_remote_ok_total", snap.remote_stats.remote_ok);
-    out += "# TYPE campaign_remote_endpoint_requests_total counter\n";
-    for (const RemoteEndpointObs& ep : snap.remote_endpoints) {
-      out += "campaign_remote_endpoint_requests_total{endpoint=\"" +
-             ep.label + "\",state=\"" + ep.state + "\"} " +
-             std::to_string(ep.requests) + "\n";
+    const RemoteDispatchStats& rs = snap.remote->stats;
+    metrics.insert(metrics.end(),
+                   {M::counter("remote_requests", rs.requests),
+                    M::counter("remote_retries", rs.retries),
+                    M::counter("remote_failovers", rs.failovers),
+                    M::counter("remote_breaker_trips", rs.breaker_trips),
+                    M::counter("remote_local_fallbacks", rs.local_fallbacks),
+                    M::counter("remote_ok", rs.remote_ok)});
+    for (const RemoteEndpointObs& ep : snap.remote->endpoints) {
+      metrics.push_back(M::counter("remote_endpoint_requests", ep.requests,
+                                   {{"endpoint", ep.label},
+                                    {"state", ep.state}}));
     }
-    out += "# TYPE campaign_remote_endpoint_failures_total counter\n";
-    for (const RemoteEndpointObs& ep : snap.remote_endpoints) {
-      out += "campaign_remote_endpoint_failures_total{endpoint=\"" +
-             ep.label + "\"} " + std::to_string(ep.failures) + "\n";
+    for (const RemoteEndpointObs& ep : snap.remote->endpoints) {
+      metrics.push_back(M::counter("remote_endpoint_failures", ep.failures,
+                                   {{"endpoint", ep.label}}));
     }
   }
-  out += common::obs::prometheus_text(snap.rollup_metrics, "campaign_");
-  return out;
+  metrics.insert(metrics.end(), snap.rollup_metrics.begin(),
+                 snap.rollup_metrics.end());
+  return common::obs::prometheus_text(metrics, "campaign_");
 }
 
 void refresh_volatile(CampaignObsSnapshot* snap, double now_s,

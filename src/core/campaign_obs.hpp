@@ -41,10 +41,12 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json_scan.hpp"
 #include "common/obs.hpp"
 #include "common/status.hpp"
 #include "common/telemetry.hpp"
@@ -70,9 +72,7 @@ struct ShardObsRow {
 };
 
 /// Remote-dispatch roll-up for a campaign running with --remote: the
-/// client-side counters fleet health is judged by. Lives here (not in
-/// campaign.hpp) because the status document, the campaign.json state
-/// table, and obs_report's Prometheus text all carry it.
+/// client-side counters fleet health is judged by.
 struct RemoteDispatchStats {
   std::uint64_t requests = 0;         ///< /shard HTTP attempts issued
   std::uint64_t retries = 0;          ///< same-endpoint backoff retries
@@ -80,11 +80,6 @@ struct RemoteDispatchStats {
   std::uint64_t breaker_trips = 0;    ///< closed -> open transitions
   std::uint64_t local_fallbacks = 0;  ///< shards run locally (fleet down)
   std::uint64_t remote_ok = 0;        ///< shards completed remotely
-
-  bool any() const {
-    return requests != 0 || retries != 0 || failovers != 0 ||
-           breaker_trips != 0 || local_fallbacks != 0 || remote_ok != 0;
-  }
 };
 
 /// One endpoint's health row in the status document.
@@ -94,6 +89,18 @@ struct RemoteEndpointObs {
   std::uint64_t requests = 0;
   std::uint64_t failures = 0;
 };
+
+/// A --remote campaign's fleet health. campaign.json, the live status
+/// document, split_campaign's report and obs_report all carry it.
+struct RemoteFleet {
+  RemoteDispatchStats stats;
+  std::vector<RemoteEndpointObs> endpoints;
+};
+
+/// The fleet block's one JSON writer and its one reader. The reader
+/// takes a missing, negative or fractional counter as 0.
+std::string render_remote_fleet(const RemoteFleet& fleet);
+RemoteFleet parse_remote_fleet(const common::JsonValue& block);
 
 struct CampaignObsSnapshot {
   bool finished = false;  ///< no shard pending or running
@@ -111,12 +118,10 @@ struct CampaignObsSnapshot {
   double elapsed_s = -1;  ///< supervisor wall clock; <0 = unknown
   double eta_s = -1;      ///< naive remaining/done extrapolation
   double first_t = 0;     ///< earliest telemetry record time; 0 = none
-  /// Remote dispatch (campaigns run with --remote only; local campaigns
+  /// Fleet health (campaigns run with --remote only; local campaigns
   /// omit the whole block so their final documents stay byte-identical
   /// to pre-remote renderings).
-  bool remote = false;
-  RemoteDispatchStats remote_stats;
-  std::vector<RemoteEndpointObs> remote_endpoints;
+  std::optional<RemoteFleet> remote;
 };
 
 /// Derives a snapshot's totals from its rows: the per-status shard
@@ -160,9 +165,9 @@ common::StatusOr<std::string> merge_shard_traces(
 common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
     const std::string& campaign_dir, double stall_after_s);
 
-/// Prometheus text exposition of a snapshot: campaign_shards_* gauges,
-/// per-shard campaign_shard_progress, and the roll-up metrics under the
-/// "campaign_" prefix.
+/// Prometheus text exposition of a snapshot, all under "campaign_":
+/// campaign_shards_* gauges, per-shard progress and peak RSS, the
+/// campaign_remote_* fleet counters, and the roll-up metrics.
 std::string campaign_prometheus_text(const CampaignObsSnapshot& snap);
 
 /// Recomputes the age-dependent fields of a cached snapshot against

@@ -393,26 +393,17 @@ double RemoteDispatcher::now_ms() {
       .count();
 }
 
-RemoteDispatchStats RemoteDispatcher::remote_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  RemoteDispatchStats out = stats_;
-  out.breaker_trips = 0;
-  for (const auto& st : endpoints_) out.breaker_trips += st.breaker.trips();
-  return out;
-}
-
-std::vector<RemoteEndpointObs> RemoteDispatcher::remote_endpoints() const {
+RemoteFleet RemoteDispatcher::fleet() const {
   std::lock_guard<std::mutex> lock(mutex_);
   const double now = now_ms();
-  std::vector<RemoteEndpointObs> out;
-  out.reserve(endpoints_.size());
+  RemoteFleet out;
+  out.stats = stats_;  // breaker_trips is summed from the breakers below
+  out.endpoints.reserve(endpoints_.size());
   for (const auto& st : endpoints_) {
-    RemoteEndpointObs row;
-    row.label = st.ep.label();
-    row.state = to_string(st.breaker.state(now));
-    row.requests = st.requests;
-    row.failures = st.failures;
-    out.push_back(std::move(row));
+    out.stats.breaker_trips += st.breaker.trips();
+    out.endpoints.push_back(RemoteEndpointObs{
+        st.ep.label(), to_string(st.breaker.state(now)), st.requests,
+        st.failures});
   }
   return out;
 }

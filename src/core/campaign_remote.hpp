@@ -17,7 +17,7 @@
 //   * RemoteDispatcher — endpoint pool. Rotates round-robin over
 //     breaker-admitted endpoints, counts failovers (a shard moving to
 //     its 2nd+ endpoint after a failure) and owns the fleet-wide
-//     RemoteDispatchStats the supervisor embeds in campaign.json.
+//     counters the supervisor embeds in campaign.json (RemoteFleet).
 //   * RemoteShardExecution — one shard attempt as a background thread
 //     behind the ShardExecution interface. Tries endpoints until one
 //     serves the shard; writes the returned result-artifact payload
@@ -120,8 +120,7 @@ struct RemoteCampaignOptions {
 
 /// Endpoint pool + fleet statistics. Thread-safe: shard executions on
 /// many threads acquire endpoints and report results concurrently.
-/// Implements RemoteStatsProvider for the supervisor's snapshots.
-class RemoteDispatcher final : public RemoteStatsProvider {
+class RemoteDispatcher {
  public:
   /// `local_command` builds the fallback worker command line (the same
   /// WorkerCommand the supervisor would use for a local campaign).
@@ -131,8 +130,8 @@ class RemoteDispatcher final : public RemoteStatsProvider {
   /// The dispatcher must outlive the supervisor's run().
   ShardLauncher launcher();
 
-  RemoteDispatchStats remote_stats() const override;
-  std::vector<RemoteEndpointObs> remote_endpoints() const override;
+  /// Counters and endpoint rows, read under one lock so they agree.
+  RemoteFleet fleet() const;
 
   const RemoteCampaignOptions& options() const { return options_; }
 

@@ -429,6 +429,54 @@ TEST(AttackServer, MetricsExposeCacheCounters) {
             std::string::npos);
   EXPECT_NE(resp.body.find("# TYPE server_cache_hits_total counter"),
             std::string::npos);
+
+  // Every server_* line, pinned. The byte estimate of the cached model
+  // depends on the forest, so it is checked as positive, not exact.
+  std::string server_lines;
+  std::size_t pos = 0;
+  while (pos < resp.body.size()) {
+    const std::size_t nl = resp.body.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos);
+    std::string line = resp.body.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.rfind("server_", 0) != 0 &&
+        line.rfind("# TYPE server_", 0) != 0) {
+      continue;
+    }
+    const std::string bytes = "server_cache_bytes ";
+    if (line.rfind(bytes, 0) == 0) {
+      EXPECT_GT(std::stoull(line.substr(bytes.size())), 0u) << line;
+      line = bytes + "<positive>";
+    }
+    server_lines += line + "\n";
+  }
+  EXPECT_EQ(server_lines,
+            "# TYPE server_cache_hits_total counter\n"
+            "server_cache_hits_total 1\n"
+            "# TYPE server_cache_misses_total counter\n"
+            "server_cache_misses_total 2\n"
+            "# TYPE server_cache_evictions_total counter\n"
+            "server_cache_evictions_total 0\n"
+            "# TYPE server_cache_inserts_total counter\n"
+            "server_cache_inserts_total 1\n"
+            "# TYPE server_cache_entries gauge\n"
+            "server_cache_entries 1\n"
+            "# TYPE server_cache_bytes gauge\n"
+            "server_cache_bytes <positive>\n"
+            "# TYPE server_requests_scored_total counter\n"
+            "server_requests_scored_total 2\n"
+            "# TYPE server_requests_rejected_total counter\n"
+            "server_requests_rejected_total 0\n"
+            "# TYPE server_bad_requests_total counter\n"
+            "server_bad_requests_total 0\n"
+            "# TYPE server_shard_requests_total counter\n"
+            "server_shard_requests_total 0\n"
+            "# TYPE server_shard_computed_total counter\n"
+            "server_shard_computed_total 0\n"
+            "# TYPE server_shard_memory_hits_total counter\n"
+            "server_shard_memory_hits_total 0\n"
+            "# TYPE server_shard_store_hits_total counter\n"
+            "server_shard_store_hits_total 0\n");
 }
 
 }  // namespace

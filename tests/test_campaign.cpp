@@ -483,6 +483,15 @@ TEST(CampaignBackoff, JitterIsDeterministicPerSeedShardAndAttempt) {
     EXPECT_EQ(repro::core::retry_backoff_ms(opt, spec, attempt),
               repro::core::retry_backoff_ms(opt, spec, attempt));
   }
+  // The schedule itself, pinned (17 significant digits round-trip).
+  const double expected[] = {96.135337253754201, 144.83736910867714,
+                             333.73277586450484, 779.53054948544502,
+                             483.58093553329792};
+  for (int attempt = 1; attempt <= 5; ++attempt) {
+    EXPECT_EQ(repro::core::retry_backoff_ms(opt, spec, attempt),
+              expected[attempt - 1])
+        << "attempt " << attempt;
+  }
 }
 
 TEST(CampaignBackoff, JitterStaysInsideTheExponentialEnvelope) {

@@ -223,7 +223,14 @@ TEST(ScanCampaignDir, ReadsShardTableTelemetryAndRollup) {
              "\"digest\": \"00000000000000ff\"}, "
              "{\"id\": \"L6_f0\", \"layer\": 6, \"fold\": 0, "
              "\"status\": \"ok\", \"attempts\": 2, \"degraded\": false, "
-             "\"digest\": \"0000000000000011\", \"stalled\": true}]}");
+             "\"digest\": \"0000000000000011\", \"stalled\": true}], "
+             "\"remote\": {\"requests\": 7, \"retries\": 2, "
+             "\"failovers\": 1, \"breaker_trips\": 1, "
+             "\"local_fallbacks\": 0, \"remote_ok\": 2, \"endpoints\": ["
+             "{\"endpoint\": \"127.0.0.1:9001\", \"state\": \"open\", "
+             "\"requests\": 4, \"failures\": 3}, "
+             "{\"endpoint\": \"127.0.0.1:9002\", \"state\": \"closed\", "
+             "\"requests\": 3, \"failures\": 0}]}}");
   const double now = wall_now_s();
   obs::TelemetryRecord rec;
   rec.kind = "final";
@@ -232,6 +239,7 @@ TEST(ScanCampaignDir, ReadsShardTableTelemetryAndRollup) {
   rec.t = now - 1;
   rec.phase = "done";
   rec.progress = 50;
+  rec.rss_peak_mb = 12;
   write_file(dir + "/shards/L6_f0/telemetry.jsonl", rec.to_json() + "\n");
   write_file(dir + "/shards/L6_f0/metrics.json", "{\"c\": 1}");
   write_file(dir + "/shards/L6_f1/metrics.json", "{\"c\": 2}");
@@ -262,6 +270,100 @@ TEST(ScanCampaignDir, ReadsShardTableTelemetryAndRollup) {
   EXPECT_NE(prom.find("campaign_shard_progress{shard=\"L6_f0\"} 50"),
             std::string::npos);
   EXPECT_NE(prom.find("campaign_c_total 3"), std::string::npos);
+  // The whole exposition, pinned: every series' name, labels, value,
+  // type line and order.
+  EXPECT_EQ(prom,
+            "# TYPE campaign_shards_total gauge\n"
+            "campaign_shards_total 2\n"
+            "# TYPE campaign_shards_ok gauge\n"
+            "campaign_shards_ok 2\n"
+            "# TYPE campaign_shards_running gauge\n"
+            "campaign_shards_running 0\n"
+            "# TYPE campaign_shards_pending gauge\n"
+            "campaign_shards_pending 0\n"
+            "# TYPE campaign_shards_quarantined gauge\n"
+            "campaign_shards_quarantined 0\n"
+            "# TYPE campaign_shards_stalled gauge\n"
+            "campaign_shards_stalled 1\n"
+            "# TYPE campaign_shard_progress gauge\n"
+            "campaign_shard_progress{shard=\"L6_f0\"} 50\n"
+            "# TYPE campaign_shard_rss_peak_mb gauge\n"
+            "campaign_shard_rss_peak_mb{shard=\"L6_f0\"} 12\n"
+            "# TYPE campaign_remote_requests_total counter\n"
+            "campaign_remote_requests_total 7\n"
+            "# TYPE campaign_remote_retries_total counter\n"
+            "campaign_remote_retries_total 2\n"
+            "# TYPE campaign_remote_failovers_total counter\n"
+            "campaign_remote_failovers_total 1\n"
+            "# TYPE campaign_remote_breaker_trips_total counter\n"
+            "campaign_remote_breaker_trips_total 1\n"
+            "# TYPE campaign_remote_local_fallbacks_total counter\n"
+            "campaign_remote_local_fallbacks_total 0\n"
+            "# TYPE campaign_remote_ok_total counter\n"
+            "campaign_remote_ok_total 2\n"
+            "# TYPE campaign_remote_endpoint_requests_total counter\n"
+            "campaign_remote_endpoint_requests_total{endpoint=\"127.0.0.1:"
+            "9001\",state=\"open\"} 4\n"
+            "campaign_remote_endpoint_requests_total{endpoint=\"127.0.0.1:"
+            "9002\",state=\"closed\"} 3\n"
+            "# TYPE campaign_remote_endpoint_failures_total counter\n"
+            "campaign_remote_endpoint_failures_total{endpoint=\"127.0.0.1:"
+            "9001\"} 3\n"
+            "campaign_remote_endpoint_failures_total{endpoint=\"127.0.0.1:"
+            "9002\"} 0\n"
+            "# TYPE campaign_c_total counter\n"
+            "campaign_c_total 3\n");
+
+  // The live status document carries the fleet block verbatim.
+  const std::string live =
+      repro::core::render_campaign_status(*snap, /*final_mode=*/false);
+  const std::size_t begin = live.find("\"remote\": ");
+  const std::size_t end = live.find(", \"rollup\": ");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(live.substr(begin, end - begin),
+            "\"remote\": {\"requests\": 7, \"retries\": 2, \"failovers\": 1, "
+            "\"breaker_trips\": 1, \"local_fallbacks\": 0, \"remote_ok\": 2, "
+            "\"endpoints\": [{\"endpoint\": \"127.0.0.1:9001\", \"state\": "
+            "\"open\", \"requests\": 4, \"failures\": 3}, {\"endpoint\": "
+            "\"127.0.0.1:9002\", \"state\": \"closed\", \"requests\": 3, "
+            "\"failures\": 0}]}");
+}
+
+// A campaign.json is a file anyone can write. A label value must not be
+// able to break out of its quotes into a sample line of its own, and a
+// negative counter or digest must not wrap to 2^64 - 1.
+TEST(ScanCampaignDir, HostileStringsAndNegativeCountersStayContained) {
+  const std::string dir = fresh_dir("scan_hostile");
+  write_file(dir + "/campaign.json",
+             "{\"shards\": [{\"id\": \"L6_f0\", \"layer\": 6, \"fold\": 0, "
+             "\"status\": \"ok\", \"attempts\": 1, \"digest\": \"-1\"}], "
+             "\"remote\": {\"requests\": -1, \"endpoints\": [{\"endpoint\": "
+             "\"127.0.0.1:1\\\"} 1\\ninjected_total 99\\n#\", "
+             "\"requests\": 1}]}}");
+  auto snap = repro::core::scan_campaign_dir(dir, /*stall_after_s=*/5);
+  ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+  ASSERT_EQ(snap->rows.size(), 1u);
+  EXPECT_EQ(snap->rows[0].digest, 0u);
+
+  const std::string prom = repro::core::campaign_prometheus_text(*snap);
+  std::size_t pos = 0;
+  while (pos < prom.size()) {
+    const std::size_t nl = prom.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos) << "unterminated final line";
+    const std::string line = prom.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.rfind('#', 0) == 0) continue;
+    EXPECT_EQ(line.rfind("campaign_", 0), 0u) << "stray sample: " << line;
+  }
+  EXPECT_NE(prom.find("campaign_remote_endpoint_requests_total{endpoint="
+                      "\"127.0.0.1:1\\\"} 1\\ninjected_total 99\\n#\","
+                      "state=\"closed\"} 1\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\ncampaign_remote_requests_total 0\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(ScanCampaignDir, FlagsRunningShardWithFrozenProgressAsStalled) {

@@ -302,12 +302,12 @@ TEST(RemoteCampaign, DispatchesEveryShardToTheFleet) {
   EXPECT_TRUE(out->complete);
   EXPECT_EQ(out->shards_ok, 4);
   ASSERT_TRUE(out->remote);
-  EXPECT_EQ(out->remote_stats.remote_ok, 4u);
-  EXPECT_EQ(out->remote_stats.local_fallbacks, 0u);
-  EXPECT_EQ(out->remote_stats.failovers, 0u);
-  EXPECT_GE(out->remote_stats.requests, 4u);
-  ASSERT_EQ(out->remote_endpoints.size(), 1u);
-  EXPECT_EQ(out->remote_endpoints[0].state, "closed");
+  EXPECT_EQ(out->remote->stats.remote_ok, 4u);
+  EXPECT_EQ(out->remote->stats.local_fallbacks, 0u);
+  EXPECT_EQ(out->remote->stats.failovers, 0u);
+  EXPECT_GE(out->remote->stats.requests, 4u);
+  ASSERT_EQ(out->remote->endpoints.size(), 1u);
+  EXPECT_EQ(out->remote->endpoints[0].state, "closed");
   EXPECT_EQ(fleet.requests.load(), 4);
   // The fleet counters rode into the persisted state table.
   std::ifstream f(CampaignSupervisor::state_path(dir));
@@ -315,6 +315,27 @@ TEST(RemoteCampaign, DispatchesEveryShardToTheFleet) {
                           std::istreambuf_iterator<char>());
   EXPECT_NE(state.find("\"remote\""), std::string::npos);
   EXPECT_NE(state.find("\"remote_ok\": 4"), std::string::npos);
+  // ...and a file-only observer reads back exactly the outcome's fleet.
+  auto snap = scan_campaign_dir(dir, /*stall_after_s=*/0);
+  ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+  ASSERT_TRUE(snap->remote);
+  EXPECT_EQ(snap->remote->stats.requests, out->remote->stats.requests);
+  EXPECT_EQ(snap->remote->stats.retries, out->remote->stats.retries);
+  EXPECT_EQ(snap->remote->stats.failovers, out->remote->stats.failovers);
+  EXPECT_EQ(snap->remote->stats.breaker_trips,
+            out->remote->stats.breaker_trips);
+  EXPECT_EQ(snap->remote->stats.local_fallbacks,
+            out->remote->stats.local_fallbacks);
+  EXPECT_EQ(snap->remote->stats.remote_ok, out->remote->stats.remote_ok);
+  ASSERT_EQ(snap->remote->endpoints.size(), out->remote->endpoints.size());
+  for (std::size_t i = 0; i < snap->remote->endpoints.size(); ++i) {
+    EXPECT_EQ(snap->remote->endpoints[i].label,
+              out->remote->endpoints[i].label);
+    EXPECT_EQ(snap->remote->endpoints[i].requests,
+              out->remote->endpoints[i].requests);
+    EXPECT_EQ(snap->remote->endpoints[i].failures,
+              out->remote->endpoints[i].failures);
+  }
 }
 
 TEST(RemoteCampaign, FailsOverToTheHealthyEndpoint) {
@@ -335,14 +356,14 @@ TEST(RemoteCampaign, FailsOverToTheHealthyEndpoint) {
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_TRUE(out->complete);
   ASSERT_TRUE(out->remote);
-  EXPECT_EQ(out->remote_stats.remote_ok, 2u);
-  EXPECT_EQ(out->remote_stats.local_fallbacks, 0u);
-  EXPECT_GE(out->remote_stats.failovers, 1u);
+  EXPECT_EQ(out->remote->stats.remote_ok, 2u);
+  EXPECT_EQ(out->remote->stats.local_fallbacks, 0u);
+  EXPECT_GE(out->remote->stats.failovers, 1u);
   // The dead endpoint's breaker tripped (threshold 2, 2 shards tried it
   // at most — with round-robin at least one hit it first).
-  ASSERT_EQ(out->remote_endpoints.size(), 2u);
-  EXPECT_GE(out->remote_endpoints[0].failures, 1u);
-  EXPECT_EQ(out->remote_endpoints[1].failures, 0u);
+  ASSERT_EQ(out->remote->endpoints.size(), 2u);
+  EXPECT_GE(out->remote->endpoints[0].failures, 1u);
+  EXPECT_EQ(out->remote->endpoints[1].failures, 0u);
 }
 
 TEST(RemoteCampaign, TornResponsesAreRetriedToCompletion) {
@@ -358,11 +379,11 @@ TEST(RemoteCampaign, TornResponsesAreRetriedToCompletion) {
   auto out = sup.run(nullptr);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_TRUE(out->complete);
-  EXPECT_EQ(out->remote_stats.remote_ok, 2u);
+  EXPECT_EQ(out->remote->stats.remote_ok, 2u);
   // The chopped response failed the X-Payload-Fnv check and was
   // re-requested — visible as a same-endpoint retry, not a failover.
-  EXPECT_GE(out->remote_stats.retries, 1u);
-  EXPECT_EQ(out->remote_stats.failovers, 0u);
+  EXPECT_GE(out->remote->stats.retries, 1u);
+  EXPECT_EQ(out->remote->stats.failovers, 0u);
   EXPECT_GE(fleet.requests.load(), 3);
 }
 
@@ -382,8 +403,8 @@ TEST(RemoteCampaign, FleetDownDegradesToLocalWorkers) {
   EXPECT_TRUE(out->complete);
   EXPECT_EQ(out->shards_ok, 2);
   ASSERT_TRUE(out->remote);
-  EXPECT_EQ(out->remote_stats.remote_ok, 0u);
-  EXPECT_EQ(out->remote_stats.local_fallbacks, 2u);
+  EXPECT_EQ(out->remote->stats.remote_ok, 0u);
+  EXPECT_EQ(out->remote->stats.local_fallbacks, 2u);
 }
 
 TEST(RemoteCampaign, NoFallbackMeansRetryThenQuarantine) {
@@ -401,7 +422,7 @@ TEST(RemoteCampaign, NoFallbackMeansRetryThenQuarantine) {
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_FALSE(out->complete);
   EXPECT_EQ(out->shards_quarantined, 1);
-  EXPECT_EQ(out->remote_stats.local_fallbacks, 0u);
+  EXPECT_EQ(out->remote->stats.local_fallbacks, 0u);
   const ShardState& st = out->shards.front();
   ASSERT_FALSE(st.history.empty());
   EXPECT_EQ(st.history.front().outcome, "remote_failed");

@@ -175,10 +175,10 @@ common::http::Response handle_request(const common::http::Request& req,
     // Scan-reuse counters: a polling dashboard can verify the cache is
     // doing its job (reused should dwarf rescans on a quiet campaign).
     const core::CampaignWatcher::Stats ws = watcher.stats();
-    out += "# TYPE obs_report_scans_total counter\n";
-    out += "obs_report_scans_total " + std::to_string(ws.rescans) + "\n";
-    out += "# TYPE obs_report_reused_total counter\n";
-    out += "obs_report_reused_total " + std::to_string(ws.reused) + "\n";
+    out += common::obs::prometheus_text(
+        {common::obs::MetricSnapshot::counter("scans", ws.rescans),
+         common::obs::MetricSnapshot::counter("reused", ws.reused)},
+        "obs_report_");
     return text_response(200, std::move(out), "text/plain; version=0.0.4");
   }
   if (path == "/" || path.empty()) {

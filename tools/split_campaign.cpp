@@ -280,34 +280,7 @@ bool write_report_file(const std::string& path,
     obj.field("rollup_digest", hex64(out.rollup_digest));
   }
   if (out.remote) {
-    std::vector<std::string> eps;
-    for (const core::RemoteEndpointObs& ep : out.remote_endpoints) {
-      eps.push_back(common::JsonObject()
-                        .field("endpoint", ep.label)
-                        .field("state", ep.state)
-                        .field("requests",
-                               static_cast<unsigned long>(ep.requests))
-                        .field("failures",
-                               static_cast<unsigned long>(ep.failures))
-                        .str());
-    }
-    const core::RemoteDispatchStats& rs = out.remote_stats;
-    obj.field_raw("remote",
-                  common::JsonObject()
-                      .field("requests",
-                             static_cast<unsigned long>(rs.requests))
-                      .field("retries",
-                             static_cast<unsigned long>(rs.retries))
-                      .field("failovers",
-                             static_cast<unsigned long>(rs.failovers))
-                      .field("breaker_trips",
-                             static_cast<unsigned long>(rs.breaker_trips))
-                      .field("local_fallbacks",
-                             static_cast<unsigned long>(rs.local_fallbacks))
-                      .field("remote_ok",
-                             static_cast<unsigned long>(rs.remote_ok))
-                      .field_raw("endpoints", common::json_array(eps))
-                      .str());
+    obj.field_raw("remote", core::render_remote_fleet(*out.remote));
   }
   obj.field_raw("shards", common::json_array(rows));
   return common::write_json_file(path, obj.str());
@@ -464,7 +437,7 @@ int run(int argc, char** argv) {
               outcome->shards_ok, outcome->shards_quarantined,
               outcome->retries);
   if (outcome->remote) {
-    const core::RemoteDispatchStats& rs = outcome->remote_stats;
+    const core::RemoteDispatchStats& rs = outcome->remote->stats;
     std::printf("remote: %llu ok, %llu request(s), %llu retried, "
                 "%llu failover(s), %llu breaker trip(s), "
                 "%llu local fallback(s)\n",
@@ -474,7 +447,7 @@ int run(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.failovers),
                 static_cast<unsigned long long>(rs.breaker_trips),
                 static_cast<unsigned long long>(rs.local_fallbacks));
-    for (const core::RemoteEndpointObs& ep : outcome->remote_endpoints) {
+    for (const core::RemoteEndpointObs& ep : outcome->remote->endpoints) {
       std::printf("  endpoint %s: %s, %llu request(s), %llu failure(s)\n",
                   ep.label.c_str(), ep.state.c_str(),
                   static_cast<unsigned long long>(ep.requests),
