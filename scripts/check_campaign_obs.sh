@@ -10,8 +10,8 @@
 #      crashes on its first attempt; both retries succeed,
 #   3. asserts the live campaign_status.json was observable mid-run
 #      (state "running"), the stall fired (stalled_shards names L6_f1,
-#      the report records outcome "stalled"), and the campaign still
-#      completed,
+#      the report records outcome "stalled"), the campaign still
+#      completed, and report.json's shard rows equal campaign.json's,
 #   4. asserts the *final* status document, the cross-shard metrics
 #      roll-up, and the merged logical-time Chrome trace are
 #      byte-identical across the three worker counts — observability
@@ -96,6 +96,13 @@ for W in 1 2 8; do
     echo "FAIL: report lacks the crashed attempt for L6_f2"
     exit 1
   }
+  # campaign.json and report.json share one shard row format: the
+  # finished campaign's two shard tables must be the same JSON.
+  python3 - "$OUT/report$W.json" "$CDIR/campaign.json" <<'EOF'
+import json, sys
+report, state = (json.load(open(p))["shards"] for p in sys.argv[1:])
+assert report == state, "report.json and campaign.json shard rows differ"
+EOF
   cp "$CDIR/campaign_status.json" "$OUT/final$W.json"
   echo "   stall flagged, both faults retried, campaign complete"
 done

@@ -1,8 +1,9 @@
 #!/bin/bash
 # Builds the test suite with ASan + UBSan (float-cast-overflow included)
 # and runs the ingestion-facing tests (parsers — the JSON reader behind
-# request bodies and state files among them —, campaign directory
-# scans, validator, fault injection, pipeline, command-line flags) plus
+# request bodies and state files, the campaign.json row reader and the
+# telemetry.jsonl tail among them —, campaign directory scans,
+# validator, fault injection, pipeline, command-line flags) plus
 # the tree and bagging learners, whose presorted split search is all
 # offset arithmetic. Any sanitizer finding aborts the run
 # (-fno-sanitize-recover=all) and fails the script.
@@ -19,6 +20,6 @@ export ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1
 export UBSAN_OPTIONS=print_stacktrace=1
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir' "$@"
+  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir|CampaignTable|Telemetry' "$@"
 
 echo "sanitizer check passed"

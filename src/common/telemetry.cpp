@@ -200,39 +200,7 @@ Status TelemetryWriter::append(const TelemetryRecord& rec) {
   return Status::Ok();
 }
 
-// --- readers ---------------------------------------------------------------
-
-TelemetryLog read_telemetry(const std::string& path) {
-  TelemetryLog log;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return log;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Torn final line (no newline landed): skip, never fatal.
-      ++log.skipped;
-      break;
-    }
-    const std::string_view line(text.data() + pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) {
-      continue;
-    }
-    auto rec = parse_telemetry_line(line);
-    if (rec.ok()) {
-      log.records.push_back(std::move(*rec));
-    } else {
-      ++log.skipped;
-    }
-  }
-  return log;
-}
+// --- reader ----------------------------------------------------------------
 
 std::size_t TelemetryTail::poll(std::vector<TelemetryRecord>& out) {
   std::ifstream in(path_, std::ios::binary);
@@ -263,8 +231,6 @@ std::size_t TelemetryTail::poll(std::vector<TelemetryRecord>& out) {
     if (rec.ok()) {
       out.push_back(std::move(*rec));
       ++added;
-    } else {
-      ++skipped_;
     }
   }
   return added;

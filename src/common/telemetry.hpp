@@ -11,10 +11,10 @@
 //   The file is opened O_APPEND and every record is one write(2) of a
 //   complete line including the trailing '\n'. POSIX O_APPEND makes each
 //   write land atomically at the end of the file, so a SIGKILL can leave
-//   at most one torn *final* line (a short write mid-record). Readers
-//   therefore skip any line that does not parse or is not
-//   newline-terminated — `read_telemetry` / `TelemetryTail` never fail
-//   on a torn tail, they just surface one fewer record.
+//   at most one torn *final* line (a short write mid-record). The reader,
+//   `TelemetryTail`, therefore skips any line that does not parse or is
+//   not newline-terminated — it never fails on a torn tail, it just
+//   surfaces one fewer record.
 //
 // Progress and stall detection
 //   Each record carries `progress`: the sum of every counter in the obs
@@ -124,18 +124,11 @@ class TelemetryWriter {
   std::string path_;
 };
 
-/// Whole-file read: every complete, parseable record in file order.
-/// Torn or malformed lines are counted in `skipped`, never fatal; a
-/// missing file is simply zero records.
-struct TelemetryLog {
-  std::vector<TelemetryRecord> records;
-  std::size_t skipped = 0;
-};
-TelemetryLog read_telemetry(const std::string& path);
-
-/// Incremental reader for the supervisor: remembers the byte offset of
-/// the last complete line and returns only newly completed records on
-/// each poll. A line is consumed only once its '\n' has landed, so a
+/// The one telemetry.jsonl reader: remembers the byte offset of the
+/// last complete line and returns only newly completed records on each
+/// poll, in file order, so a fresh tail's first poll reads the whole
+/// file. Malformed lines are skipped, never fatal, and a missing file is
+/// zero records. A line is consumed only once its '\n' has landed, so a
 /// torn in-flight line is retried (not skipped) until the writer
 /// finishes it — or abandoned if the writer dies, in which case it is
 /// never consumed at all.
@@ -150,7 +143,6 @@ class TelemetryTail {
  private:
   std::string path_;
   std::uint64_t offset_ = 0;  ///< bytes of consumed complete lines
-  std::size_t skipped_ = 0;
 };
 
 // --- heartbeat thread -------------------------------------------------------

@@ -11,7 +11,6 @@
 #include "common/checkpoint.hpp"
 #include "common/fault.hpp"
 #include "common/http.hpp"
-#include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/lockfile.hpp"
 #include "common/obs.hpp"
@@ -27,23 +26,6 @@ namespace repro::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using common::hex64;
-
-ShardStatus status_from_string(const std::string& s) {
-  if (s == "running") return ShardStatus::kRunning;
-  if (s == "ok") return ShardStatus::kOk;
-  if (s == "quarantined") return ShardStatus::kQuarantined;
-  return ShardStatus::kPending;
-}
-
-/// FNV-1a over the little-endian concatenation of digests — the same
-/// combination split_attack prints for a monolithic LOO run, so shard
-/// merges and single-process references are directly comparable.
-std::uint64_t combine_digests(const std::vector<std::uint64_t>& digests) {
-  common::BinaryWriter w;
-  for (std::uint64_t d : digests) w.u64(d);
-  return common::fnv1a64(w.buffer());
-}
 
 double wall_now_s() {
   return std::chrono::duration<double>(
@@ -135,16 +117,6 @@ class LocalShardExecution final : public ShardExecution {
 std::unique_ptr<ShardExecution> make_local_execution(
     common::Subprocess proc) {
   return std::make_unique<LocalShardExecution>(std::move(proc));
-}
-
-const char* to_string(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kPending: return "pending";
-    case ShardStatus::kRunning: return "running";
-    case ShardStatus::kOk: return "ok";
-    case ShardStatus::kQuarantined: return "quarantined";
-  }
-  return "unknown";
 }
 
 std::string CampaignSupervisor::shard_dir(const std::string& campaign_dir,
@@ -279,36 +251,24 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
     };
   }
 
-  // Builds the status snapshot campaign_obs renders: one row per shard
-  // in (layer, fold) order (the shards vector is built in that order).
+  // Builds the status snapshot campaign_obs renders: the shard table in
+  // (layer, fold) order (the shards vector is built in that order) with
+  // its live fields filled in.
   const auto build_snapshot = [&](bool final_mode) {
     CampaignObsSnapshot snap;
+    snap.rows = shards;
     const double now_wall = wall_now_s();
-    for (std::size_t idx = 0; idx < shards.size(); ++idx) {
-      const ShardState& st = shards[idx];
-      ShardObsRow row;
-      row.id = st.spec.id();
-      row.layer = st.spec.layer;
-      row.fold = st.spec.fold;
-      row.status = to_string(st.status);
-      row.attempts = st.attempts;
-      row.degraded = st.degraded;
-      row.digest = st.digest;
-      row.has_telemetry = st.has_telemetry;
-      row.last = st.last_telemetry;
-      if (!final_mode && st.has_telemetry) {
-        row.heartbeat_age_s = std::max(0.0, now_wall - st.last_telemetry.t);
+    for (ShardState& row : snap.rows) {
+      if (!final_mode && row.has_telemetry) {
+        row.heartbeat_age_s = std::max(0.0, now_wall - row.last_telemetry.t);
       }
-      for (const Running& r : running) {
-        if (r.idx == idx) {
-          row.stalled = r.stalled;
-          row.progress_age_s =
-              std::chrono::duration<double>(Clock::now() - r.last_progress)
-                  .count();
-        }
-      }
-      if (st.stalled) snap.stalled_shards.push_back(row.id);
-      snap.rows.push_back(std::move(row));
+      if (row.stalled) snap.stalled_shards.push_back(row.spec.id());
+    }
+    for (const Running& r : running) {
+      snap.rows[r.idx].stalled_now = r.stalled;
+      snap.rows[r.idx].progress_age_s =
+          std::chrono::duration<double>(Clock::now() - r.last_progress)
+              .count();
     }
     const double elapsed_s =
         std::chrono::duration<double>(Clock::now() - campaign_start).count();
@@ -480,12 +440,7 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
         std::vector<common::obs::TelemetryRecord> fresh;
         r.tail.poll(fresh);
         for (const common::obs::TelemetryRecord& rec : fresh) {
-          // Advance = a changed progress sum or a new process (each
-          // attempt appends to the same file with a fresh pid and
-          // counters restarting at zero).
-          if (!st.has_telemetry ||
-              rec.progress != st.last_telemetry.progress ||
-              rec.pid != st.last_telemetry.pid) {
+          if (!st.has_telemetry || progress_advanced(st.last_telemetry, rec)) {
             r.last_progress = Clock::now();
           }
           st.last_telemetry = rec;
@@ -635,60 +590,16 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
 }
 
 void CampaignSupervisor::persist_state(const std::vector<ShardState>& shards) {
-  std::vector<std::string> rows;
-  rows.reserve(shards.size());
-  for (const ShardState& st : shards) {
-    std::vector<std::string> hist;
-    hist.reserve(st.history.size());
-    for (const ShardAttempt& a : st.history) {
-      hist.push_back(common::JsonObject()
-                         .field("attempt", a.attempt)
-                         .field("outcome", a.outcome)
-                         .field("detail", a.detail)
-                         .str());
-    }
-    common::JsonObject row;
-    row.field("id", st.spec.id())
-        .field("layer", st.spec.layer)
-        .field("fold", static_cast<long>(st.spec.fold))
-        .field("status", to_string(st.status))
-        .field("attempts", st.attempts)
-        .field("degraded", st.degraded);
-    if (st.status == ShardStatus::kOk) row.field("digest", hex64(st.digest));
-    if (st.stalled) row.field("stalled", true);
-    if (st.has_telemetry) {
-      // The shard's phase/progress as last seen — for quarantined
-      // shards this is the state at death, surfaced in the report.
-      row.field_raw("last_telemetry",
-                    common::JsonObject()
-                        .field("phase", st.last_telemetry.phase)
-                        .field("progress", static_cast<unsigned long>(
-                                               st.last_telemetry.progress))
-                        .field("targets_done",
-                               static_cast<unsigned long>(
-                                   st.last_telemetry.targets_done))
-                        .field("pairs_scored",
-                               static_cast<unsigned long>(
-                                   st.last_telemetry.pairs_scored))
-                        .field("rss_peak_mb",
-                               static_cast<long>(
-                                   st.last_telemetry.rss_peak_mb))
-                        .str());
-    }
-    row.field_raw("history", common::json_array(hist));
-    rows.push_back(row.str());
-  }
   common::JsonObject top;
   top.field("format_version", 1)
-      .field_raw("shards", common::json_array(rows));
+      .field_raw("shards", render_shard_rows(shards));
   if (remote_ != nullptr) {
     // Fleet-health counters ride in the state table so obs_report (and
     // any file-only observer) sees them without supervisor cooperation.
     top.field_raw("remote", render_remote_fleet(remote_->fleet()));
   }
-  const std::string json = top.str();
   const common::Status s = common::atomic_write_file(
-      state_path(options_.campaign_dir), json + "\n");
+      state_path(options_.campaign_dir), top.str() + "\n");
   if (!s.ok()) {
     sink_.warning("campaign.state_write_failed", 0, s.to_string());
   }
@@ -697,42 +608,17 @@ void CampaignSupervisor::persist_state(const std::vector<ShardState>& shards) {
 void CampaignSupervisor::load_state(std::vector<ShardState>& shards) {
   auto text = common::read_file(state_path(options_.campaign_dir));
   if (!text.ok()) return;  // no prior state: every shard starts pending
-  auto doc = common::parse_json(*text);
-  if (!doc.ok() || !doc->is_object()) {
+  auto table = parse_campaign_table(*text);
+  if (!table.ok()) {
     sink_.warning("campaign.corrupt_state", 0,
-                  "campaign.json is unparseable; restarting every shard");
+                  table.status().message() + "; restarting every shard");
     return;
   }
-  const common::JsonValue* arr = doc->find("shards");
-  if (!arr || !arr->is_array()) return;
-  for (const common::JsonValue& row : arr->items) {
-    const std::string id = row.get_string("id");
+  for (ShardState& row : table->shards) {
     auto it = std::find_if(
         shards.begin(), shards.end(),
-        [&](const ShardState& s) { return s.spec.id() == id; });
-    if (it == shards.end()) continue;  // layer/fold set changed: ignore
-    it->status = status_from_string(row.get_string("status"));
-    it->attempts = static_cast<int>(row.get_i64("attempts", 0));
-    it->degraded = row.get_bool("degraded", false);
-    it->digest = row.get_u64("digest", 0);
-    it->stalled = row.get_bool("stalled", false);
-    if (const common::JsonValue* lt = row.find("last_telemetry");
-        lt != nullptr && lt->is_object()) {
-      it->has_telemetry = true;
-      it->last_telemetry.phase = lt->get_string("phase");
-      it->last_telemetry.progress = lt->get_u64("progress", 0);
-      it->last_telemetry.targets_done = lt->get_u64("targets_done", 0);
-      it->last_telemetry.pairs_scored = lt->get_u64("pairs_scored", 0);
-      it->last_telemetry.rss_peak_mb = lt->get_i64("rss_peak_mb", 0);
-    }
-    const common::JsonValue* hist = row.find("history");
-    if (hist && hist->is_array()) {
-      for (const common::JsonValue& h : hist->items) {
-        it->history.push_back(
-            ShardAttempt{static_cast<int>(h.get_i64("attempt", 0)),
-                         h.get_string("outcome"), h.get_string("detail")});
-      }
-    }
+        [&](const ShardState& s) { return s.spec == row.spec; });
+    if (it != shards.end()) *it = std::move(row);  // else: layers changed
   }
 }
 

@@ -76,45 +76,6 @@ namespace repro::core {
 
 class RemoteDispatcher;  // campaign_remote.hpp
 
-/// One unit of supervised work: fold `fold` of the LOO suite at split
-/// layer `layer`.
-struct ShardSpec {
-  int layer = 0;
-  std::int64_t fold = 0;
-
-  /// Stable identifier, also the shard's directory name: "L8_f3".
-  std::string id() const {
-    return "L" + std::to_string(layer) + "_f" + std::to_string(fold);
-  }
-};
-
-enum class ShardStatus { kPending, kRunning, kOk, kQuarantined };
-
-const char* to_string(ShardStatus s);
-
-/// One line of a shard's failure history: what attempt N ended as.
-struct ShardAttempt {
-  int attempt = 0;        ///< 1-based
-  std::string outcome;    ///< exit class, "timeout", or "corrupt_output"
-  std::string detail;     ///< wait status / validation error text
-};
-
-struct ShardState {
-  ShardSpec spec;
-  ShardStatus status = ShardStatus::kPending;
-  int attempts = 0;  ///< attempts started so far
-  bool degraded = false;  ///< worker exited kExitOkDegraded
-  std::uint64_t digest = 0;  ///< validated fold-result digest when kOk
-  std::vector<ShardAttempt> history;
-  /// Cross-process telemetry (heartbeat_s > 0): the last record the
-  /// supervisor tailed from the shard's telemetry.jsonl — for a failed
-  /// or quarantined shard, this is its phase/progress at death, and it
-  /// is embedded in the campaign report alongside the attempt history.
-  bool has_telemetry = false;
-  common::obs::TelemetryRecord last_telemetry;
-  bool stalled = false;  ///< ever flagged by the stall detector
-};
-
 struct CampaignOptions {
   std::string campaign_dir;
   std::vector<int> layers;          ///< split layers, one shard row each
@@ -285,8 +246,9 @@ class CampaignSupervisor {
   /// Atomically rewrites campaign.json from the in-memory shard table.
   void persist_state(const std::vector<ShardState>& shards);
 
-  /// Merges a prior campaign.json (if any) into the shard table by
-  /// shard id; unknown ids and malformed rows are ignored.
+  /// Merges a prior campaign.json (if any) into the shard table: each
+  /// row parse_campaign_table accepts replaces the shard with its spec;
+  /// rows for other shards are ignored.
   void load_state(std::vector<ShardState>& shards);
 
   CampaignOptions options_;

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <map>
 
 #include "common/binio.hpp"
+#include "common/flags.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
@@ -66,27 +68,28 @@ std::string render_rollup_json(
   return obj.str();
 }
 
-std::string render_row(const ShardObsRow& row, bool final_mode) {
+/// A status-document row: a different document from the shard table's
+/// rows (render_shard_rows), with its own live and final renderings.
+std::string render_row(const ShardState& row, bool final_mode) {
   JsonObject obj;
-  obj.field("id", row.id)
-      .field("status", row.status)
+  obj.field("id", row.spec.id())
+      .field("status", to_string(row.status))
       .field("attempts", row.attempts)
       .field("degraded", row.degraded);
-  if (row.status == "ok") obj.field("digest", hex64(row.digest));
+  if (row.status == ShardStatus::kOk) obj.field("digest", hex64(row.digest));
   if (final_mode) return obj.str();
-  obj.field("stalled", row.stalled);
+  obj.field("stalled", row.stalled_now);
   if (row.has_telemetry) {
-    obj.field("phase", row.last.phase)
-        .field("progress", static_cast<unsigned long>(row.last.progress))
-        .field("targets_done",
-               static_cast<unsigned long>(row.last.targets_done))
-        .field("pairs_scored",
-               static_cast<unsigned long>(row.last.pairs_scored))
-        .field("trees_done", static_cast<unsigned long>(row.last.trees_done))
-        .field("folds_done", static_cast<unsigned long>(row.last.folds_done))
-        .field("rss_mb", static_cast<long>(row.last.rss_mb))
-        .field("rss_peak_mb", static_cast<long>(row.last.rss_peak_mb));
-    if (!row.last.pressure.empty()) obj.field("pressure", row.last.pressure);
+    const common::obs::TelemetryRecord& t = row.last_telemetry;
+    obj.field("phase", t.phase)
+        .field("progress", static_cast<unsigned long>(t.progress))
+        .field("targets_done", static_cast<unsigned long>(t.targets_done))
+        .field("pairs_scored", static_cast<unsigned long>(t.pairs_scored))
+        .field("trees_done", static_cast<unsigned long>(t.trees_done))
+        .field("folds_done", static_cast<unsigned long>(t.folds_done))
+        .field("rss_mb", static_cast<long>(t.rss_mb))
+        .field("rss_peak_mb", static_cast<long>(t.rss_peak_mb));
+    if (!t.pressure.empty()) obj.field("pressure", t.pressure);
     if (row.heartbeat_age_s >= 0) {
       obj.field("heartbeat_age_s", row.heartbeat_age_s);
     }
@@ -97,17 +100,142 @@ std::string render_row(const ShardObsRow& row, bool final_mode) {
   return obj.str();
 }
 
+/// A count read from an untrusted file: outside [0, INT_MAX] reads as 0.
+int get_count(const JsonValue& obj, std::string_view key) {
+  const std::int64_t n = obj.get_i64(key, 0);
+  return n >= 0 && n <= INT_MAX ? static_cast<int>(n) : 0;
+}
+
+ShardStatus status_from_string(const std::string& s) {
+  if (s == "running") return ShardStatus::kRunning;
+  if (s == "ok") return ShardStatus::kOk;
+  if (s == "quarantined") return ShardStatus::kQuarantined;
+  return ShardStatus::kPending;
+}
+
 }  // namespace
+
+std::optional<ShardSpec> ShardSpec::parse(const std::string& id) {
+  const std::size_t sep = id.find("_f");
+  if (id.rfind('L', 0) != 0 || sep == std::string::npos) return std::nullopt;
+  const auto layer = common::parse_int(id.substr(1, sep - 1), 1, 64);
+  const auto fold = common::parse_int(id.substr(sep + 2), 0, LLONG_MAX);
+  if (!layer || !fold) return std::nullopt;
+  const ShardSpec spec{static_cast<int>(*layer), *fold};
+  return spec.id() == id ? std::optional(spec) : std::nullopt;
+}
+
+const char* to_string(ShardStatus s) {
+  switch (s) {
+    case ShardStatus::kPending: return "pending";
+    case ShardStatus::kRunning: return "running";
+    case ShardStatus::kOk: return "ok";
+    case ShardStatus::kQuarantined: return "quarantined";
+  }
+  return "unknown";
+}
+
+std::string render_shard_rows(const std::vector<ShardState>& shards) {
+  std::vector<std::string> rows;
+  rows.reserve(shards.size());
+  for (const ShardState& st : shards) {
+    std::vector<std::string> hist;
+    hist.reserve(st.history.size());
+    for (const ShardAttempt& a : st.history) {
+      hist.push_back(JsonObject()
+                         .field("attempt", a.attempt)
+                         .field("outcome", a.outcome)
+                         .field("detail", a.detail)
+                         .str());
+    }
+    JsonObject row;
+    row.field("id", st.spec.id())
+        .field("status", to_string(st.status))
+        .field("attempts", st.attempts)
+        .field("degraded", st.degraded);
+    if (st.status == ShardStatus::kOk) row.field("digest", hex64(st.digest));
+    if (st.stalled) row.field("stalled", true);
+    if (st.has_telemetry) {
+      // The shard's phase/progress as last seen — for a quarantined
+      // shard, its state at death.
+      const common::obs::TelemetryRecord& t = st.last_telemetry;
+      row.field_raw("last_telemetry",
+                    JsonObject()
+                        .field("phase", t.phase)
+                        .field("progress", t.progress)
+                        .field("targets_done", t.targets_done)
+                        .field("pairs_scored", t.pairs_scored)
+                        .field("folds_done", t.folds_done)
+                        .field("rss_peak_mb", t.rss_peak_mb)
+                        .str());
+    }
+    row.field_raw("history", common::json_array(hist));
+    rows.push_back(row.str());
+  }
+  return common::json_array(rows);
+}
+
+common::StatusOr<CampaignTable> parse_campaign_table(std::string_view text) {
+  auto doc = common::parse_json(text);
+  if (!doc.ok() || !doc->is_object()) {
+    return common::Status::ParseError("campaign.json is unparseable");
+  }
+  const JsonValue* arr = doc->find("shards");
+  if (arr == nullptr || !arr->is_array()) {
+    return common::Status::ParseError("campaign.json has no shards array");
+  }
+  CampaignTable table;
+  for (const JsonValue& row : arr->items) {
+    const std::optional<ShardSpec> spec =
+        ShardSpec::parse(row.get_string("id"));
+    if (!spec) continue;
+    ShardState st;
+    st.spec = *spec;
+    st.status = status_from_string(row.get_string("status"));
+    st.attempts = get_count(row, "attempts");
+    st.degraded = row.get_bool("degraded", false);
+    st.digest = row.get_u64("digest", 0);
+    st.stalled = row.get_bool("stalled", false);
+    if (const JsonValue* lt = row.find("last_telemetry");
+        lt != nullptr && lt->is_object()) {
+      st.has_telemetry = true;
+      common::obs::TelemetryRecord& t = st.last_telemetry;
+      t.phase = lt->get_string("phase");
+      t.progress = lt->get_u64("progress", 0);
+      t.targets_done = lt->get_u64("targets_done", 0);
+      t.pairs_scored = lt->get_u64("pairs_scored", 0);
+      t.folds_done = lt->get_u64("folds_done", 0);
+      t.rss_peak_mb = lt->get_i64("rss_peak_mb", 0);
+    }
+    if (const JsonValue* hist = row.find("history");
+        hist != nullptr && hist->is_array()) {
+      for (const JsonValue& h : hist->items) {
+        st.history.push_back(ShardAttempt{get_count(h, "attempt"),
+                                          h.get_string("outcome"),
+                                          h.get_string("detail")});
+      }
+    }
+    table.shards.push_back(std::move(st));
+  }
+  // Remote campaigns persist their fleet counters beside the table.
+  if (const JsonValue* rem = doc->find("remote");
+      rem != nullptr && rem->is_object()) {
+    table.remote = parse_remote_fleet(*rem);
+  }
+  return table;
+}
 
 void compute_totals(CampaignObsSnapshot* snap, double elapsed_s) {
   snap->shards_total = static_cast<int>(snap->rows.size());
   snap->shards_ok = snap->shards_running = snap->shards_pending =
       snap->shards_quarantined = 0;
-  for (const ShardObsRow& row : snap->rows) {
-    if (row.status == "ok") ++snap->shards_ok;
-    if (row.status == "running") ++snap->shards_running;
-    if (row.status == "pending") ++snap->shards_pending;
-    if (row.status == "quarantined") ++snap->shards_quarantined;
+  for (const ShardState& row : snap->rows) {
+    switch (row.status) {
+      case ShardStatus::kOk: ++snap->shards_ok; break;
+      case ShardStatus::kRunning: ++snap->shards_running; break;
+      case ShardStatus::kPending: ++snap->shards_pending; break;
+      case ShardStatus::kQuarantined: ++snap->shards_quarantined; break;
+    }
   }
   snap->finished = snap->shards_running == 0 && snap->shards_pending == 0;
   snap->complete = snap->shards_ok == snap->shards_total &&
@@ -124,7 +252,7 @@ std::string render_campaign_status(const CampaignObsSnapshot& snap,
                                    bool final_mode) {
   std::vector<std::string> rows;
   rows.reserve(snap.rows.size());
-  for (const ShardObsRow& row : snap.rows) {
+  for (const ShardState& row : snap.rows) {
     rows.push_back(render_row(row, final_mode));
   }
   std::vector<std::string> stalled;
@@ -364,84 +492,47 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
                                     ": no campaign.json (not a campaign "
                                     "directory, or none has run yet)");
   }
-  auto doc = common::parse_json(*text);
-  if (!doc.ok() || !doc->is_object()) {
-    return common::Status::ParseError(campaign_dir +
-                                      "/campaign.json is unparseable");
-  }
-  const JsonValue* arr = doc->find("shards");
-  if (arr == nullptr || !arr->is_array()) {
-    return common::Status::ParseError(campaign_dir +
-                                      "/campaign.json has no shards array");
+  auto table = parse_campaign_table(*text);
+  if (!table.ok()) {
+    return common::Status::ParseError(campaign_dir + "/" +
+                                      table.status().message());
   }
 
   CampaignObsSnapshot snap;
-  // Remote campaigns persist their fleet counters alongside the shard
-  // table (campaign.cpp persist_state).
-  if (const JsonValue* rem = doc->find("remote");
-      rem != nullptr && rem->is_object()) {
-    snap.remote = parse_remote_fleet(*rem);
-  }
-  const double now = wall_now_s();
-  double first_t = 0;
-  for (const JsonValue& rowv : arr->items) {
-    ShardObsRow row;
-    row.id = rowv.get_string("id");
-    row.layer = static_cast<int>(rowv.get_i64("layer", 0));
-    row.fold = rowv.get_i64("fold", 0);
-    row.status = rowv.get_string("status", "pending");
-    row.attempts = static_cast<int>(rowv.get_i64("attempts", 0));
-    row.degraded = rowv.get_bool("degraded", false);
-    row.digest = rowv.get_u64("digest", 0);
-    row.ever_stalled = rowv.get_bool("stalled", false);
-
-    // Live telemetry beats the (possibly stale) persisted snapshot.
-    const common::obs::TelemetryLog log = common::obs::read_telemetry(
-        campaign_dir + "/shards/" + row.id + "/telemetry.jsonl");
-    if (!log.records.empty()) {
-      row.has_telemetry = true;
-      row.last = log.records.back();
-      row.heartbeat_age_s = std::max(0.0, now - row.last.t);
-      // Progress age: time since the last record where (pid, progress)
-      // changed — same advance rule as the supervisor's stall detector.
-      double advance_t = log.records.front().t;
-      for (std::size_t i = 1; i < log.records.size(); ++i) {
-        if (log.records[i].progress != log.records[i - 1].progress ||
-            log.records[i].pid != log.records[i - 1].pid) {
-          advance_t = log.records[i].t;
-        }
-      }
-      row.advance_t = advance_t;
-      row.progress_age_s = std::max(0.0, now - advance_t);
-      if (first_t == 0 || log.records.front().t < first_t) {
-        first_t = log.records.front().t;
-      }
-    }
-    row.stalled = row.status == "running" && stall_after_s > 0 &&
-                  row.has_telemetry && row.progress_age_s > stall_after_s;
-    snap.rows.push_back(std::move(row));
-  }
-  snap.first_t = first_t;
-
+  snap.rows = std::move(table->shards);
+  snap.remote = std::move(table->remote);
   std::sort(snap.rows.begin(), snap.rows.end(),
-            [](const ShardObsRow& a, const ShardObsRow& b) {
-              return a.layer != b.layer ? a.layer < b.layer
-                                        : a.fold < b.fold;
+            [](const ShardState& a, const ShardState& b) {
+              return a.spec < b.spec;
             });
-  // Built after the sort so the list order matches the row order —
-  // refresh_volatile rebuilds it the same way from a cached snapshot.
-  for (const ShardObsRow& row : snap.rows) {
-    if (row.stalled || row.ever_stalled) {
-      snap.stalled_shards.push_back(row.id);
+  for (ShardState& row : snap.rows) {
+    // Live telemetry beats the (possibly stale) persisted snapshot.
+    common::obs::TelemetryTail tail(campaign_dir + "/shards/" +
+                                    row.spec.id() + "/telemetry.jsonl");
+    std::vector<common::obs::TelemetryRecord> records;
+    row.has_telemetry = tail.poll(records) > 0;
+    row.last_telemetry = row.has_telemetry ? records.back()
+                                           : common::obs::TelemetryRecord();
+    if (!row.has_telemetry) continue;
+    row.advance_t = records.front().t;
+    for (std::size_t i = 1; i < records.size(); ++i) {
+      if (progress_advanced(records[i - 1], records[i])) {
+        row.advance_t = records[i].t;
+      }
+    }
+    if (snap.first_t == 0 || records.front().t < snap.first_t) {
+      snap.first_t = records.front().t;
     }
   }
-  compute_totals(&snap, first_t > 0 ? std::max(0.0, now - first_t) : -1);
+  // Ages, stall flags, the stalled list and the totals.
+  refresh_volatile(&snap, wall_now_s(), stall_after_s);
 
   if (snap.complete) {
     std::vector<std::string> paths;
     paths.reserve(snap.rows.size());
-    for (const ShardObsRow& row : snap.rows) {
-      paths.push_back(campaign_dir + "/shards/" + row.id + "/metrics.json");
+    for (const ShardState& row : snap.rows) {
+      paths.push_back(campaign_dir + "/shards/" + row.spec.id() +
+                      "/metrics.json");
     }
     auto rollup = rollup_shard_metrics(paths);
     if (rollup.ok()) {  // absent metrics files just mean telemetry was off
@@ -463,17 +554,19 @@ std::string campaign_prometheus_text(const CampaignObsSnapshot& snap) {
       M::gauge("shards_quarantined", snap.shards_quarantined),
       M::gauge("shards_stalled",
                static_cast<double>(snap.stalled_shards.size()))};
-  for (const ShardObsRow& row : snap.rows) {
+  for (const ShardState& row : snap.rows) {
     if (!row.has_telemetry) continue;
-    metrics.push_back(M::gauge("shard_progress",
-                               static_cast<double>(row.last.progress),
-                               {{"shard", row.id}}));
+    metrics.push_back(
+        M::gauge("shard_progress",
+                 static_cast<double>(row.last_telemetry.progress),
+                 {{"shard", row.spec.id()}}));
   }
-  for (const ShardObsRow& row : snap.rows) {
+  for (const ShardState& row : snap.rows) {
     if (!row.has_telemetry) continue;
-    metrics.push_back(M::gauge("shard_rss_peak_mb",
-                               static_cast<double>(row.last.rss_peak_mb),
-                               {{"shard", row.id}}));
+    metrics.push_back(
+        M::gauge("shard_rss_peak_mb",
+                 static_cast<double>(row.last_telemetry.rss_peak_mb),
+                 {{"shard", row.spec.id()}}));
   }
   if (snap.remote) {
     const RemoteDispatchStats& rs = snap.remote->stats;
@@ -502,15 +595,16 @@ std::string campaign_prometheus_text(const CampaignObsSnapshot& snap) {
 void refresh_volatile(CampaignObsSnapshot* snap, double now_s,
                       double stall_after_s) {
   snap->stalled_shards.clear();
-  for (ShardObsRow& row : snap->rows) {
+  for (ShardState& row : snap->rows) {
     if (row.has_telemetry) {
-      row.heartbeat_age_s = std::max(0.0, now_s - row.last.t);
+      row.heartbeat_age_s = std::max(0.0, now_s - row.last_telemetry.t);
       row.progress_age_s = std::max(0.0, now_s - row.advance_t);
     }
-    row.stalled = row.status == "running" && stall_after_s > 0 &&
-                  row.has_telemetry && row.progress_age_s > stall_after_s;
-    if (row.stalled || row.ever_stalled) {
-      snap->stalled_shards.push_back(row.id);
+    row.stalled_now = row.status == ShardStatus::kRunning &&
+                      stall_after_s > 0 && row.has_telemetry &&
+                      row.progress_age_s > stall_after_s;
+    if (row.stalled_now || row.stalled) {
+      snap->stalled_shards.push_back(row.spec.id());
     }
   }
   compute_totals(snap, snap->first_t > 0
@@ -569,8 +663,8 @@ common::StatusOr<CampaignObsSnapshot> CampaignWatcher::poll() {
   // interval).
   watched_.clear();
   watched_.push_back(fingerprint(dir_ + "/campaign.json"));
-  for (const ShardObsRow& row : cached_.rows) {
-    const std::string shard_dir = dir_ + "/shards/" + row.id;
+  for (const ShardState& row : cached_.rows) {
+    const std::string shard_dir = dir_ + "/shards/" + row.spec.id();
     watched_.push_back(fingerprint(shard_dir + "/telemetry.jsonl"));
     watched_.push_back(fingerprint(shard_dir + "/metrics.json"));
   }

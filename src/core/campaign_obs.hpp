@@ -2,9 +2,12 @@
 // cross-process telemetry protocol (the worker side lives in
 // common/telemetry.hpp).
 //
-// Three concerns, all pure functions over on-disk artifacts so the
+// Four concerns, all pure functions over on-disk artifacts so the
 // supervisor (live, in-process state) and `tools/obs_report` (post-hoc
 // or concurrent, file-only view) share one implementation:
+//
+//   * Shard table: the one shard record (ShardState) and its one JSON
+//     row codec, shared by campaign.json and split_campaign's report.
 //
 //   * Status: a campaign_status.json document built from per-shard rows.
 //     Two renderings — *live* (phases, progress, heartbeat ages, RSS,
@@ -39,10 +42,12 @@
 // slow worker keeps bumping counters and is never flagged.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,23 +58,66 @@
 
 namespace repro::core {
 
-/// One shard's row in the status document.
-struct ShardObsRow {
-  std::string id;
+/// One unit of supervised work: fold `fold` of the LOO suite at split
+/// layer `layer`.
+struct ShardSpec {
   int layer = 0;
   std::int64_t fold = 0;
-  std::string status;  ///< "pending" | "running" | "ok" | "quarantined"
-  int attempts = 0;
-  bool degraded = false;
-  std::uint64_t digest = 0;       ///< 0 unless ok
-  bool has_telemetry = false;
-  common::obs::TelemetryRecord last;  ///< most recent telemetry record
-  double heartbeat_age_s = -1;    ///< since last record; <0 = unknown
-  double progress_age_s = -1;     ///< since progress last advanced
-  bool stalled = false;
-  double advance_t = 0;       ///< absolute time progress last advanced
-  bool ever_stalled = false;  ///< persisted "stalled" flag from the table
+
+  /// Stable identifier, also the shard's directory name: "L8_f3".
+  std::string id() const {
+    return "L" + std::to_string(layer) + "_f" + std::to_string(fold);
+  }
+  /// The inverse of id(): a layer in [1, 64] and a fold >= 0, accepted
+  /// only in id()'s exact spelling ("L08_f3" and "L8_f+3" are not ids).
+  static std::optional<ShardSpec> parse(const std::string& id);
+
+  auto operator<=>(const ShardSpec&) const = default;  ///< (layer, fold)
 };
+
+enum class ShardStatus { kPending, kRunning, kOk, kQuarantined };
+
+const char* to_string(ShardStatus s);
+
+/// One line of a shard's failure history: what attempt N ended as.
+struct ShardAttempt {
+  int attempt = 0;        ///< 1-based
+  std::string outcome;    ///< exit class, "timeout", or "corrupt_output"
+  std::string detail;     ///< wait status / validation error text
+
+  bool operator==(const ShardAttempt&) const = default;
+};
+
+/// One row of a campaign's shard table: the supervisor's state, the
+/// campaign.json and report.json row, and the status document's row.
+struct ShardState {
+  ShardSpec spec;
+  ShardStatus status = ShardStatus::kPending;
+  int attempts = 0;  ///< attempts started so far
+  bool degraded = false;  ///< worker exited kExitOkDegraded
+  std::uint64_t digest = 0;  ///< validated fold-result digest when kOk
+  std::vector<ShardAttempt> history;
+  /// Cross-process telemetry (heartbeat_s > 0): the last record tailed
+  /// from the shard's telemetry.jsonl — for a failed or quarantined
+  /// shard, its phase/progress at death.
+  bool has_telemetry = false;
+  common::obs::TelemetryRecord last_telemetry;
+  bool stalled = false;  ///< ever flagged by the stall detector
+
+  // Live view only: filled in for the status document, never persisted.
+  double heartbeat_age_s = -1;  ///< since the last record; <0 = unknown
+  double progress_age_s = -1;   ///< since progress last advanced
+  double advance_t = 0;         ///< absolute time progress last advanced
+  bool stalled_now = false;     ///< flagged by the stall detector now
+};
+
+/// The stall detector's advance rule: between two consecutive records
+/// of one shard, progress advanced when the progress sum changed or a
+/// new attempt (a new pid, counters restarting at zero) began writing.
+inline bool progress_advanced(const common::obs::TelemetryRecord& prev,
+                              const common::obs::TelemetryRecord& next) {
+  return next.progress != prev.progress || next.pid != prev.pid;
+}
 
 /// Remote-dispatch roll-up for a campaign running with --remote: the
 /// client-side counters fleet health is judged by.
@@ -102,6 +150,26 @@ struct RemoteFleet {
 std::string render_remote_fleet(const RemoteFleet& fleet);
 RemoteFleet parse_remote_fleet(const common::JsonValue& block);
 
+/// The shard rows' one JSON writer: the "shards" array of campaign.json
+/// and of split_campaign's report, one object per row with keys id,
+/// status, attempts, degraded, [digest], [stalled], [last_telemetry]
+/// and history. Live-only fields are not written.
+std::string render_shard_rows(const std::vector<ShardState>& shards);
+
+/// What a campaign.json holds.
+struct CampaignTable {
+  std::vector<ShardState> shards;     ///< file order
+  std::optional<RemoteFleet> remote;  ///< --remote campaigns only
+};
+
+/// The one campaign.json reader. A file that does not parse, or has no
+/// "shards" array, is a ParseError. Rows are taken as untrusted: a row
+/// whose id is not a ShardSpec id is dropped (its layer and fold come
+/// from the id; "layer" and "fold" keys are ignored), an unknown status
+/// reads as pending, and an attempt count outside [0, INT_MAX] reads
+/// as 0.
+common::StatusOr<CampaignTable> parse_campaign_table(std::string_view text);
+
 struct CampaignObsSnapshot {
   bool finished = false;  ///< no shard pending or running
   bool complete = false;  ///< every shard ok
@@ -110,7 +178,7 @@ struct CampaignObsSnapshot {
   int shards_running = 0;
   int shards_pending = 0;
   int shards_quarantined = 0;
-  std::vector<ShardObsRow> rows;            ///< (layer, fold) order
+  std::vector<ShardState> rows;             ///< (layer, fold) order
   std::vector<std::string> stalled_shards;  ///< ever stalled, row order
   std::string rollup_json;                  ///< "" when unavailable
   std::uint64_t rollup_digest = 0;
@@ -157,7 +225,8 @@ common::StatusOr<std::string> merge_shard_traces(
     const std::vector<std::pair<std::string, std::string>>& shards);
 
 /// Builds a snapshot purely from a campaign directory: campaign.json
-/// for the shard table, shards/<id>/telemetry.jsonl for live telemetry,
+/// for the shard table, shards/<id>/telemetry.jsonl for live telemetry
+/// (it replaces the table's possibly stale last_telemetry),
 /// shards/<id>/metrics.json for the roll-up (only when every shard is
 /// ok). This is obs_report's path — it needs no supervisor cooperation
 /// beyond the files the campaign already writes, so it works on a live
@@ -173,9 +242,9 @@ std::string campaign_prometheus_text(const CampaignObsSnapshot& snap);
 /// Recomputes the age-dependent fields of a cached snapshot against
 /// `now_s` (wall clock, seconds): heartbeat/progress ages, the stalled
 /// flags and list, elapsed and ETA. The snapshot stores the *absolute*
-/// times they derive from (last.t, advance_t, first_t), so a snapshot
-/// served from cache stays as fresh as a rescan for everything except
-/// new file content.
+/// times they derive from (last_telemetry.t, advance_t, first_t), so a
+/// snapshot served from cache stays as fresh as a rescan for everything
+/// except new file content.
 void refresh_volatile(CampaignObsSnapshot* snap, double now_s,
                       double stall_after_s);
 

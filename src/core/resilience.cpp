@@ -107,6 +107,12 @@ std::uint64_t result_digest(const AttackResult& res) {
   return h;
 }
 
+std::uint64_t combine_digests(std::span<const std::uint64_t> digests) {
+  BinaryWriter w;
+  for (std::uint64_t d : digests) w.u64(d);
+  return fnv_over(w.buffer());
+}
+
 std::uint64_t attack_run_key(
     std::span<const splitmfg::SplitChallenge> challenges,
     const AttackConfig& config) {

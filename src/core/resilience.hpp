@@ -62,6 +62,12 @@ inline constexpr std::uint32_t kModelVersion = 1;
 /// attack output.
 std::uint64_t result_digest(const AttackResult& res);
 
+/// FNV-1a over the little-endian concatenation of digests, in order: a
+/// LOO run's digest over its fold digests, and a campaign's over its
+/// layer digests. Shard merges and single-process runs use this one
+/// combination, so their digests are directly comparable.
+std::uint64_t combine_digests(std::span<const std::uint64_t> digests);
+
 /// Fingerprint of the computation a checkpoint belongs to: every
 /// result-affecting AttackConfig field plus, per challenge, the design
 /// name, split layer, and v-pin count.

@@ -287,6 +287,37 @@ TEST(Campaign, ResumeRevalidationDemotesARottedOkShard) {
   EXPECT_TRUE(noted);
 }
 
+// campaign.json is a file anyone can edit. Resume must not take a
+// negative or out-of-int attempt count from it: read as written, -5
+// would buy L8_f0 seven attempts under a budget of two, and 2^32 + 1
+// would wrap L8_f1's count to 1 and leave it a single attempt.
+TEST(Campaign, ResumeRangeChecksPersistedAttempts) {
+  const std::string dir = fresh_dir("campaign_resume_attempts");
+  std::ofstream(CampaignSupervisor::state_path(dir))
+      << "{\"format_version\": 1, \"shards\": ["
+         "{\"id\": \"L8_f0\", \"status\": \"pending\", \"attempts\": -5, "
+         "\"degraded\": false, \"history\": []}, "
+         "{\"id\": \"L8_f1\", \"status\": \"pending\", "
+         "\"attempts\": 4294967297, \"degraded\": false, \"history\": []}]}\n";
+  CampaignOptions opt = fast_options(dir, 1, 2);
+  opt.layers = {8};
+  opt.max_attempts = 2;
+  opt.resume = true;
+  DiagnosticSink sink;
+  CampaignSupervisor sup(opt, sh_worker("exit 9"), marker_validator, sink);
+  auto out = sup.run(nullptr);
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  ASSERT_EQ(out->shards.size(), 2u);
+  for (const ShardState& s : out->shards) {
+    SCOPED_TRACE(s.spec.id());
+    EXPECT_EQ(s.status, ShardStatus::kQuarantined);
+    EXPECT_EQ(s.attempts, 2);
+    ASSERT_EQ(s.history.size(), 2u);
+    EXPECT_EQ(s.history[0].attempt, 1);
+    EXPECT_EQ(s.history[1].attempt, 2);
+  }
+}
+
 TEST(Campaign, SecondSupervisorFailsFastOnTheCampaignLock) {
   const std::string dir = fresh_dir("campaign_lock");
   DiagnosticSink sink;
@@ -449,6 +480,39 @@ TEST(CampaignTelemetry, QuarantinedShardEmbedsItsLastTelemetryRecord) {
                           std::istreambuf_iterator<char>());
   EXPECT_NE(state.find("last_telemetry"), std::string::npos);
   EXPECT_NE(state.find("\"phase\": \"train\""), std::string::npos);
+}
+
+// An ok shard is not rerun on resume, so its last telemetry record —
+// which report.json embeds — comes back from campaign.json, folds_done
+// included.
+TEST(CampaignTelemetry, ResumeKeepsFoldsDone) {
+  const std::string dir = fresh_dir("campaign_resume_folds_done");
+  CampaignOptions opt = fast_options(dir, 1, 1);
+  opt.heartbeat_s = 0.05;
+  {
+    DiagnosticSink sink;
+    CampaignSupervisor sup(
+        opt,
+        sh_worker("printf '%s\\n' '{\"kind\": \"final\", \"seq\": 0, "
+                  "\"pid\": 100, \"progress\": 9, \"folds_done\": 1, "
+                  "\"phase\": \"done\"}' >> \"$SHARD_DIR/telemetry.jsonl\"; "
+                  "touch \"$SHARD_DIR/done\""),
+        marker_validator, sink);
+    auto first = sup.run(nullptr);
+    ASSERT_TRUE(first.ok()) << first.status().to_string();
+    ASSERT_TRUE(first->complete);
+    EXPECT_EQ(first->shards.at(0).last_telemetry.folds_done, 1u);
+  }
+  opt.resume = true;
+  DiagnosticSink sink;
+  CampaignSupervisor sup(opt, sh_worker("exit 9"), marker_validator, sink);
+  auto out = sup.run(nullptr);
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  EXPECT_TRUE(out->complete) << "the ok shard must not rerun";
+  const ShardState& s = out->shards.at(0);
+  ASSERT_TRUE(s.has_telemetry);
+  EXPECT_EQ(s.last_telemetry.phase, "done");
+  EXPECT_EQ(s.last_telemetry.folds_done, 1u);
 }
 
 TEST(CampaignTelemetry, HeartbeatZeroKeepsTheLayerOff) {

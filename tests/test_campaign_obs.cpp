@@ -1,8 +1,9 @@
 // Campaign observability tests: the cross-shard metrics roll-up (sum
 // counters and histogram buckets, drop gauges, fail on edge mismatch),
 // the multi-process trace merge (pid remap, metadata tracks, byte
-// stability), status rendering (final mode omits volatile fields), and
-// scan_campaign_dir over a hand-built campaign directory.
+// stability), status rendering (final mode omits volatile fields),
+// scan_campaign_dir over a hand-built campaign directory, and the shard
+// table's one row codec (round trip, the previous layout, hostile rows).
 #include "core/campaign_obs.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +26,9 @@ namespace fs = std::filesystem;
 namespace obs = repro::common::obs;
 using repro::common::StatusCode;
 using repro::core::CampaignObsSnapshot;
-using repro::core::ShardObsRow;
+using repro::core::ShardAttempt;
+using repro::core::ShardState;
+using repro::core::ShardStatus;
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -180,16 +183,15 @@ TEST(StatusRender, FinalModeOmitsEveryVolatileField) {
   snap.shards_ok = 1;
   snap.elapsed_s = 12.5;
   snap.eta_s = 3.0;
-  ShardObsRow row;
-  row.id = "L6_f0";
-  row.layer = 6;
-  row.status = "ok";
+  ShardState row;
+  row.spec = {6, 0};
+  row.status = ShardStatus::kOk;
   row.attempts = 1;
   row.digest = 0xdeadbeef;
   row.has_telemetry = true;
-  row.last.phase = "done";
-  row.last.progress = 42;
-  row.last.rss_peak_mb = 99;
+  row.last_telemetry.phase = "done";
+  row.last_telemetry.progress = 42;
+  row.last_telemetry.rss_peak_mb = 99;
   row.heartbeat_age_s = 1.5;
   row.progress_age_s = 2.5;
   snap.rows.push_back(row);
@@ -252,11 +254,11 @@ TEST(ScanCampaignDir, ReadsShardTableTelemetryAndRollup) {
   EXPECT_EQ(snap->shards_ok, 2);
   ASSERT_EQ(snap->rows.size(), 2u);
   // Rows come back in (layer, fold) order regardless of file order.
-  EXPECT_EQ(snap->rows[0].id, "L6_f0");
-  EXPECT_EQ(snap->rows[1].id, "L6_f1");
+  EXPECT_EQ(snap->rows[0].spec.id(), "L6_f0");
+  EXPECT_EQ(snap->rows[1].spec.id(), "L6_f1");
   EXPECT_EQ(snap->rows[0].digest, 0x11u);
   EXPECT_TRUE(snap->rows[0].has_telemetry);
-  EXPECT_EQ(snap->rows[0].last.progress, 50u);
+  EXPECT_EQ(snap->rows[0].last_telemetry.progress, 50u);
   EXPECT_FALSE(snap->rows[1].has_telemetry);
   // The persisted ever-stalled flag survives into stalled_shards.
   ASSERT_EQ(snap->stalled_shards.size(), 1u);
@@ -391,7 +393,7 @@ TEST(ScanCampaignDir, FlagsRunningShardWithFrozenProgressAsStalled) {
   auto snap = repro::core::scan_campaign_dir(dir, /*stall_after_s=*/10);
   ASSERT_TRUE(snap.ok());
   ASSERT_EQ(snap->rows.size(), 1u);
-  EXPECT_TRUE(snap->rows[0].stalled);
+  EXPECT_TRUE(snap->rows[0].stalled_now);
   EXPECT_LT(snap->rows[0].heartbeat_age_s, 5);   // heartbeat is live
   EXPECT_GT(snap->rows[0].progress_age_s, 10);   // progress is not
   EXPECT_EQ(snap->stalled_shards,
@@ -400,7 +402,7 @@ TEST(ScanCampaignDir, FlagsRunningShardWithFrozenProgressAsStalled) {
   // The same directory with a generous threshold is NOT stalled.
   auto lax = repro::core::scan_campaign_dir(dir, /*stall_after_s=*/3600);
   ASSERT_TRUE(lax.ok());
-  EXPECT_FALSE(lax->rows[0].stalled);
+  EXPECT_FALSE(lax->rows[0].stalled_now);
 }
 
 TEST(ScanCampaignDir, MissingCampaignJsonIsNotFound) {
@@ -430,7 +432,7 @@ TEST(CampaignWatcher, ReusesCachedSnapshotUntilAFileChanges) {
   repro::core::CampaignWatcher watcher(dir, /*stall_after_s=*/3600);
   auto first = watcher.poll();
   ASSERT_TRUE(first.ok()) << first.status().to_string();
-  EXPECT_EQ(first->rows[0].last.progress, 10u);
+  EXPECT_EQ(first->rows[0].last_telemetry.progress, 10u);
   EXPECT_EQ(watcher.stats().rescans, 1u);
   EXPECT_EQ(watcher.stats().reused, 0u);
 
@@ -438,7 +440,7 @@ TEST(CampaignWatcher, ReusesCachedSnapshotUntilAFileChanges) {
   for (int i = 0; i < 3; ++i) {
     auto again = watcher.poll();
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->rows[0].last.progress, 10u);
+    EXPECT_EQ(again->rows[0].last_telemetry.progress, 10u);
     EXPECT_EQ(repro::core::render_campaign_status(*again, true),
               repro::core::render_campaign_status(*first, true));
   }
@@ -455,7 +457,7 @@ TEST(CampaignWatcher, ReusesCachedSnapshotUntilAFileChanges) {
       << rec.to_json() << "\n";
   auto fresh = watcher.poll();
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->rows[0].last.progress, 20u);
+  EXPECT_EQ(fresh->rows[0].last_telemetry.progress, 20u);
   EXPECT_EQ(watcher.stats().rescans, 2u);
   EXPECT_EQ(watcher.stats().polls, 5u);
 }
@@ -479,16 +481,213 @@ TEST(CampaignWatcher, CachedSnapshotStillRefreshesVolatileAges) {
   repro::core::CampaignWatcher watcher(dir, /*stall_after_s=*/0.2);
   auto first = watcher.poll();
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->rows[0].stalled);
+  EXPECT_FALSE(first->rows[0].stalled_now);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   auto later = watcher.poll();
   ASSERT_TRUE(later.ok());
-  EXPECT_TRUE(later->rows[0].stalled);
+  EXPECT_TRUE(later->rows[0].stalled_now);
   EXPECT_GT(later->rows[0].heartbeat_age_s, first->rows[0].heartbeat_age_s);
   EXPECT_EQ(later->stalled_shards,
             (std::vector<std::string>{"L6_f0"}));
   EXPECT_EQ(watcher.stats().rescans, 1u);
   EXPECT_EQ(watcher.stats().reused, 1u);
+}
+
+// --- the shard table's one row format -----------------------------------
+
+/// Every persisted field of two tables is equal (the live-only fields
+/// are never written).
+void expect_same_rows(const std::vector<ShardState>& got,
+                      const std::vector<ShardState>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(want[i].spec.id());
+    EXPECT_EQ(got[i].spec, want[i].spec);
+    EXPECT_EQ(got[i].status, want[i].status);
+    EXPECT_EQ(got[i].attempts, want[i].attempts);
+    EXPECT_EQ(got[i].degraded, want[i].degraded);
+    EXPECT_EQ(got[i].digest, want[i].digest);
+    EXPECT_EQ(got[i].stalled, want[i].stalled);
+    EXPECT_EQ(got[i].history, want[i].history);
+    EXPECT_EQ(got[i].has_telemetry, want[i].has_telemetry);
+    const obs::TelemetryRecord& g = got[i].last_telemetry;
+    const obs::TelemetryRecord& w = want[i].last_telemetry;
+    EXPECT_EQ(g.phase, w.phase);
+    EXPECT_EQ(g.progress, w.progress);
+    EXPECT_EQ(g.targets_done, w.targets_done);
+    EXPECT_EQ(g.pairs_scored, w.pairs_scored);
+    EXPECT_EQ(g.folds_done, w.folds_done);
+    EXPECT_EQ(g.rss_peak_mb, w.rss_peak_mb);
+  }
+}
+
+std::string campaign_json(const std::string& rows) {
+  return "{\"format_version\": 1, \"shards\": " + rows + "}";
+}
+
+TEST(CampaignTable, RoundTrip) {
+  ShardState ok;
+  ok.spec = {8, 0};
+  ok.status = ShardStatus::kOk;
+  ok.attempts = 2;
+  ok.degraded = true;
+  ok.digest = 0x0123456789abcdefULL;
+  ok.stalled = true;
+  ok.has_telemetry = true;
+  ok.last_telemetry.phase = "done";
+  ok.last_telemetry.progress = 1234;
+  ok.last_telemetry.targets_done = 56;
+  ok.last_telemetry.pairs_scored = 7890;
+  ok.last_telemetry.folds_done = 1;
+  ok.last_telemetry.rss_peak_mb = 321;
+  ok.history = {ShardAttempt{1, "stalled", "say \"hi\" \\ then\nstop"}};
+  ShardState quarantined;
+  quarantined.spec = {8, 1};
+  quarantined.status = ShardStatus::kQuarantined;
+  quarantined.attempts = 3;
+  quarantined.history = {ShardAttempt{1, "crashed", "signal 9"},
+                         ShardAttempt{2, "timeout", "SIGKILLed"},
+                         ShardAttempt{3, "corrupt_output", "bad CRC"}};
+  ShardState pending;
+  pending.spec = {6, 12};
+  const std::vector<ShardState> table = {ok, quarantined, pending};
+
+  const std::string rows = repro::core::render_shard_rows(table);
+  auto parsed = repro::core::parse_campaign_table(campaign_json(rows));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_FALSE(parsed->remote.has_value());
+  expect_same_rows(parsed->shards, table);
+  EXPECT_EQ(repro::core::render_shard_rows(parsed->shards), rows);
+
+  // The row format is report.json's, key order included.
+  EXPECT_EQ(repro::core::render_shard_rows({ok}),
+            "[{\"id\": \"L8_f0\", \"status\": \"ok\", \"attempts\": 2, "
+            "\"degraded\": true, \"digest\": \"0123456789abcdef\", "
+            "\"stalled\": true, \"last_telemetry\": {\"phase\": \"done\", "
+            "\"progress\": 1234, \"targets_done\": 56, \"pairs_scored\": "
+            "7890, \"folds_done\": 1, \"rss_peak_mb\": 321}, \"history\": "
+            "[{\"attempt\": 1, \"outcome\": \"stalled\", \"detail\": "
+            "\"say \\\"hi\\\" \\\\ then\\nstop\"}]}]");
+
+  // The fleet block rides along in campaign.json.
+  repro::core::RemoteFleet fleet;
+  fleet.stats.requests = 3;
+  fleet.stats.remote_ok = 2;
+  fleet.endpoints.push_back({"127.0.0.1:9001", "open", 3, 1});
+  const std::string fleet_json = repro::core::render_remote_fleet(fleet);
+  auto remote = repro::core::parse_campaign_table(
+      "{\"format_version\": 1, \"shards\": " + rows +
+      ", \"remote\": " + fleet_json + "}");
+  ASSERT_TRUE(remote.ok()) << remote.status().to_string();
+  ASSERT_TRUE(remote->remote.has_value());
+  EXPECT_EQ(repro::core::render_remote_fleet(*remote->remote), fleet_json);
+  expect_same_rows(remote->shards, table);
+}
+
+TEST(CampaignTable, ReadsParentFormat) {
+  // campaign.json as the previous writer laid it out: "layer" and
+  // "fold" after the id, and no folds_done in last_telemetry.
+  const std::string parent = campaign_json(
+      "[{\"id\": \"L6_f0\", \"layer\": 6, \"fold\": 0, \"status\": \"ok\", "
+      "\"attempts\": 1, \"degraded\": false, \"digest\": "
+      "\"00000000000000ff\", \"last_telemetry\": {\"phase\": \"done\", "
+      "\"progress\": 50, \"targets_done\": 4, \"pairs_scored\": 9, "
+      "\"rss_peak_mb\": 12}, \"history\": []}, "
+      "{\"id\": \"L6_f1\", \"layer\": 6, \"fold\": 1, \"status\": "
+      "\"quarantined\", \"attempts\": 2, \"degraded\": false, \"stalled\": "
+      "true, \"history\": [{\"attempt\": 1, \"outcome\": \"crashed\", "
+      "\"detail\": \"signal 9\"}, {\"attempt\": 2, \"outcome\": "
+      "\"crashed\", \"detail\": \"signal 9\"}]}]");
+  const std::string rows =
+      "[{\"id\": \"L6_f0\", \"status\": \"ok\", \"attempts\": 1, "
+      "\"degraded\": false, \"digest\": \"00000000000000ff\", "
+      "\"last_telemetry\": {\"phase\": \"done\", \"progress\": 50, "
+      "\"targets_done\": 4, \"pairs_scored\": 9, \"folds_done\": 0, "
+      "\"rss_peak_mb\": 12}, \"history\": []}, "
+      "{\"id\": \"L6_f1\", \"status\": \"quarantined\", \"attempts\": 2, "
+      "\"degraded\": false, \"stalled\": true, \"history\": [{\"attempt\": "
+      "1, \"outcome\": \"crashed\", \"detail\": \"signal 9\"}, "
+      "{\"attempt\": 2, \"outcome\": \"crashed\", \"detail\": "
+      "\"signal 9\"}]}]";
+  auto old_table = repro::core::parse_campaign_table(parent);
+  auto new_table = repro::core::parse_campaign_table(campaign_json(rows));
+  ASSERT_TRUE(old_table.ok()) << old_table.status().to_string();
+  ASSERT_TRUE(new_table.ok()) << new_table.status().to_string();
+  expect_same_rows(old_table->shards, new_table->shards);
+  ASSERT_EQ(old_table->shards.size(), 2u);
+  EXPECT_EQ(old_table->shards[0].spec, (repro::core::ShardSpec{6, 0}));
+  EXPECT_EQ(old_table->shards[1].status, ShardStatus::kQuarantined);
+  EXPECT_EQ(repro::core::render_shard_rows(old_table->shards), rows);
+}
+
+// campaign.json is a file anyone can edit: counts are range-checked,
+// ids must be canonical, and a mistyped field reads as its default.
+TEST(CampaignTable, HostileRows) {
+  auto table = repro::core::parse_campaign_table(campaign_json(
+      "[{\"id\": \"L8_f0\", \"status\": \"pending\", \"attempts\": -5, "
+      "\"history\": [{\"attempt\": -1, \"outcome\": \"crashed\"}, "
+      "{\"attempt\": 4294967297}]}, "
+      "{\"id\": \"L8_f1\", \"status\": \"bogus\", "
+      "\"attempts\": 4294967297}, "
+      "{\"id\": \"L8_f2\", \"status\": 7, \"attempts\": \"3\", "
+      "\"degraded\": \"yes\", \"digest\": 12.5, \"last_telemetry\": "
+      "{\"phase\": 3, \"progress\": \"many\", \"folds_done\": -1, "
+      "\"rss_peak_mb\": \"x\"}, \"history\": \"none\"}, "
+      "{\"id\": \"L4_f0x\", \"status\": \"ok\"}, "
+      "{\"id\": \"L99_f0\", \"status\": \"ok\"}, "
+      "{\"id\": \"L4_f-1\", \"status\": \"ok\"}, "
+      "{\"id\": 7}, \"not a row\", "
+      "{\"id\": \"L4_f1\", \"layer\": 6, \"fold\": 9, "
+      "\"attempts\": 2147483647}]"));
+  ASSERT_TRUE(table.ok()) << table.status().to_string();
+  ASSERT_EQ(table->shards.size(), 4u);
+
+  const ShardState& neg = table->shards[0];
+  EXPECT_EQ(neg.spec.id(), "L8_f0");
+  EXPECT_EQ(neg.attempts, 0);
+  ASSERT_EQ(neg.history.size(), 2u);
+  EXPECT_EQ(neg.history[0].attempt, 0);
+  EXPECT_EQ(neg.history[1].attempt, 0);
+
+  const ShardState& wide = table->shards[1];
+  EXPECT_EQ(wide.spec.id(), "L8_f1");
+  EXPECT_EQ(wide.status, ShardStatus::kPending);  // unknown status
+  EXPECT_EQ(wide.attempts, 0);                    // 2^32 + 1
+
+  const ShardState& typed = table->shards[2];
+  EXPECT_EQ(typed.status, ShardStatus::kPending);
+  EXPECT_EQ(typed.attempts, 0);
+  EXPECT_FALSE(typed.degraded);
+  EXPECT_EQ(typed.digest, 0u);
+  ASSERT_TRUE(typed.has_telemetry);
+  EXPECT_EQ(typed.last_telemetry.phase, "");
+  EXPECT_EQ(typed.last_telemetry.progress, 0u);
+  EXPECT_EQ(typed.last_telemetry.folds_done, 0u);
+  EXPECT_EQ(typed.last_telemetry.rss_peak_mb, 0);
+  EXPECT_TRUE(typed.history.empty());
+
+  // Layer and fold come from the id, never from their own keys.
+  const ShardState& keyed = table->shards[3];
+  EXPECT_EQ(keyed.spec, (repro::core::ShardSpec{4, 1}));
+  EXPECT_EQ(keyed.attempts, 2147483647);
+
+  using repro::core::ShardSpec;
+  for (const char* id : {"L4_f0x", "L99_f0", "L4_f-1", "L0_f0", "L08_f0",
+                         "L8_f00", "L+8_f0", "L 8_f0", "L8_f", "L_f0", "",
+                         "l8_f0", "L8_f0 ", "L8_f99999999999999999999"}) {
+    EXPECT_FALSE(ShardSpec::parse(id).has_value()) << id;
+  }
+  EXPECT_EQ(ShardSpec::parse("L64_f9223372036854775807"),
+            (ShardSpec{64, 9223372036854775807LL}));
+  EXPECT_EQ(ShardSpec::parse("L1_f0"), (ShardSpec{1, 0}));
+
+  // A document that is not a shard table is an error, not an empty one.
+  for (const char* text : {"", "{", "[]", "{\"shards\": {}}",
+                           "{\"format_version\": 1}"}) {
+    auto bad = repro::core::parse_campaign_table(text);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << text;
+  }
 }
 
 }  // namespace

@@ -113,18 +113,22 @@ TEST_F(TelemetryTest, ReadTelemetrySkipsTornTailAndGarbageLines) {
   const std::string full = tail.to_json();
   append_raw(path, full.substr(0, full.size() - 5));
 
-  const obs::TelemetryLog log = obs::read_telemetry(path);
-  ASSERT_EQ(log.records.size(), 2u);
-  EXPECT_EQ(log.records[0].kind, "start");
-  EXPECT_EQ(log.records[1].seq, 1u);
-  EXPECT_EQ(log.skipped, 2u);  // garbage line + torn tail
+  obs::TelemetryTail reader(path);
+  std::vector<obs::TelemetryRecord> records;
+  EXPECT_EQ(reader.poll(records), 2u);  // the garbage line is skipped
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, "start");
+  EXPECT_EQ(records[1].seq, 1u);
+  EXPECT_EQ(reader.poll(records), 0u);  // the torn tail is not delivered
+  EXPECT_EQ(records.size(), 2u);
 }
 
 TEST_F(TelemetryTest, ReadTelemetryMissingFileIsEmptyNotError) {
   const std::string dir = fresh_dir("telemetry_missing");
-  const obs::TelemetryLog log = obs::read_telemetry(dir + "/nope.jsonl");
-  EXPECT_TRUE(log.records.empty());
-  EXPECT_EQ(log.skipped, 0u);
+  obs::TelemetryTail reader(dir + "/nope.jsonl");
+  std::vector<obs::TelemetryRecord> records;
+  EXPECT_EQ(reader.poll(records), 0u);
+  EXPECT_TRUE(records.empty());
 }
 
 TEST_F(TelemetryTest, TailHoldsIncompleteLineUntilNewlineLands) {
@@ -200,16 +204,18 @@ TEST_F(TelemetryTest, HeartbeatWritesStartHeartbeatsAndFinal) {
   (*hb)->stop();
   EXPECT_GE((*hb)->records_written(), 3u);  // start + >=1 heartbeat + final
 
-  const obs::TelemetryLog log = obs::read_telemetry(path);
-  EXPECT_EQ(log.skipped, 0u);
-  ASSERT_GE(log.records.size(), 3u);
-  EXPECT_EQ(log.records.front().kind, "start");
-  EXPECT_EQ(log.records.back().kind, "final");
-  for (std::size_t i = 1; i < log.records.size(); ++i) {
-    EXPECT_GT(log.records[i].seq, log.records[i - 1].seq);
-    EXPECT_GE(log.records[i].progress, log.records[i - 1].progress);
+  std::vector<obs::TelemetryRecord> records;
+  obs::TelemetryTail(path).poll(records);
+  // Every record written reads back: no line was torn or malformed.
+  EXPECT_EQ(records.size(), (*hb)->records_written());
+  ASSERT_GE(records.size(), 3u);
+  EXPECT_EQ(records.front().kind, "start");
+  EXPECT_EQ(records.back().kind, "final");
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_GT(records[i].seq, records[i - 1].seq);
+    EXPECT_GE(records[i].progress, records[i - 1].progress);
   }
-  EXPECT_EQ(log.records.back().progress, 5u);
+  EXPECT_EQ(records.back().progress, 5u);
   // stop() is idempotent and the destructor tolerates a prior stop.
   (*hb)->stop();
 }

@@ -109,14 +109,14 @@ std::string human_summary(const core::CampaignObsSnapshot& snap) {
                 "shard", "status", "phase", "progress", "folds", "rss_mb",
                 "hb_age", "flags");
   out += line;
-  for (const core::ShardObsRow& row : snap.rows) {
+  for (const core::ShardState& row : snap.rows) {
     std::string phase = "-", progress = "-", folds = "-", rss = "-",
                 hb_age = "-";
     if (row.has_telemetry) {
-      phase = row.last.phase;
-      progress = std::to_string(row.last.progress);
-      folds = std::to_string(row.last.folds_done);
-      rss = std::to_string(row.last.rss_peak_mb);
+      phase = row.last_telemetry.phase;
+      progress = std::to_string(row.last_telemetry.progress);
+      folds = std::to_string(row.last_telemetry.folds_done);
+      rss = std::to_string(row.last_telemetry.rss_peak_mb);
       if (row.heartbeat_age_s >= 0) {
         char b[32];
         std::snprintf(b, sizeof b, "%.1fs", row.heartbeat_age_s);
@@ -124,12 +124,12 @@ std::string human_summary(const core::CampaignObsSnapshot& snap) {
       }
     }
     std::string flags;
-    if (row.stalled) flags += "STALLED ";
+    if (row.stalled_now) flags += "STALLED ";
     if (row.degraded) flags += "degraded ";
     std::snprintf(line, sizeof line, "%-10s %-12s %-12s %10s %8s %8s %6s  %s\n",
-                  row.id.c_str(), row.status.c_str(), phase.c_str(),
-                  progress.c_str(), folds.c_str(), rss.c_str(), hb_age.c_str(),
-                  flags.c_str());
+                  row.spec.id().c_str(), core::to_string(row.status),
+                  phase.c_str(), progress.c_str(), folds.c_str(), rss.c_str(),
+                  hb_age.c_str(), flags.c_str());
     out += line;
   }
   if (!snap.stalled_shards.empty()) {

@@ -169,15 +169,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Combined fingerprint over per-design digests: FNV-1a of their
-/// little-endian concatenation, so the order of designs matters (as it
-/// does for the results themselves).
-std::uint64_t combine_digests(const std::vector<std::uint64_t>& digests) {
-  common::BinaryWriter w;
-  for (std::uint64_t d : digests) w.u64(d);
-  return common::fnv1a64(w.buffer());
-}
-
 /// Writes {"complete": ..., "digest": ..., "designs": [...]} for the
 /// kill-and-resume differential check. Incomplete runs carry null per
 /// missing design and no combined digest.
@@ -202,7 +193,7 @@ bool write_digest_file(const std::string& path, bool complete,
     std::vector<std::uint64_t> all;
     all.reserve(ds.size());
     for (const auto& d : ds) all.push_back(*d);
-    obj.field("digest", hex64(combine_digests(all)));
+    obj.field("digest", hex64(core::combine_digests(all)));
   }
   obj.field_raw("designs", common::json_array(rows));
   return common::write_json_file(path, obj.str());
@@ -564,7 +555,8 @@ int run(const Args& args) {
     if (complete) {
       std::vector<std::uint64_t> ds;
       for (const auto& d : digests) ds.push_back(*d);
-      std::printf("result digest: %s\n", hex64(combine_digests(ds)).c_str());
+      std::printf("result digest: %s\n",
+                  hex64(core::combine_digests(ds)).c_str());
     } else {
       std::fprintf(stderr,
                    "interrupted (%s): %d of %zu folds complete%s\n",

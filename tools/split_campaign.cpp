@@ -224,43 +224,6 @@ bool write_digest_file(const std::string& path,
 
 bool write_report_file(const std::string& path,
                        const core::CampaignOutcome& out) {
-  std::vector<std::string> rows;
-  for (const core::ShardState& st : out.shards) {
-    std::vector<std::string> hist;
-    for (const core::ShardAttempt& at : st.history) {
-      hist.push_back(common::JsonObject()
-                         .field("attempt", at.attempt)
-                         .field("outcome", at.outcome)
-                         .field("detail", at.detail)
-                         .str());
-    }
-    common::JsonObject row;
-    row.field("id", st.spec.id())
-        .field("status", core::to_string(st.status))
-        .field("attempts", st.attempts)
-        .field("degraded", st.degraded);
-    if (st.status == core::ShardStatus::kOk) {
-      row.field("digest", hex64(st.digest));
-    }
-    if (st.stalled) row.field("stalled", true);
-    if (st.has_telemetry) {
-      // The shard's last telemetry record — for a quarantined shard,
-      // its phase and progress at death. Far more actionable in a
-      // post-mortem than the attempt history alone.
-      const common::obs::TelemetryRecord& t = st.last_telemetry;
-      row.field_raw("last_telemetry",
-                    common::JsonObject()
-                        .field("phase", t.phase)
-                        .field("progress", t.progress)
-                        .field("targets_done", t.targets_done)
-                        .field("pairs_scored", t.pairs_scored)
-                        .field("folds_done", t.folds_done)
-                        .field("rss_peak_mb", t.rss_peak_mb)
-                        .str());
-    }
-    row.field_raw("history", common::json_array(hist));
-    rows.push_back(row.str());
-  }
   common::JsonObject obj;
   obj.field("tool", "split_campaign")
       .field("complete", out.complete)
@@ -282,7 +245,7 @@ bool write_report_file(const std::string& path,
   if (out.remote) {
     obj.field_raw("remote", core::render_remote_fleet(*out.remote));
   }
-  obj.field_raw("shards", common::json_array(rows));
+  obj.field_raw("shards", core::render_shard_rows(out.shards));
   return common::write_json_file(path, obj.str());
 }
 
@@ -292,18 +255,14 @@ int run(int argc, char** argv) {
   common::CancelToken& cancel = common::global_cancel_token();
 
   // The LOO suite size fixes the fold count per layer: one held-out
-  // design per fold. Demo mode counts the generated suite (REPRO_SCALE
-  // shrinks it the same way split_attack does); file mode counts the
-  // victim plus every training DEF — a DEF the workers end up skipping
-  // would shrink their suite and shift fold indices, so workers run
-  // --strict and fail the shard loudly instead.
-  std::int64_t folds = 0;
-  if (args.demo) {
-    folds = static_cast<std::int64_t>(
-        synth::generate_benchmark_suite(synth::scale_from_env()).size());
-  } else {
-    folds = 1 + static_cast<std::int64_t>(args.train.size());
-  }
+  // design per fold. Demo mode counts the presets the generated suite
+  // is built from (one design each, at any REPRO_SCALE); file mode
+  // counts the victim plus every training DEF — a DEF the workers end
+  // up skipping would shrink their suite and shift fold indices, so
+  // workers run --strict and fail the shard loudly instead.
+  const std::int64_t folds =
+      args.demo ? static_cast<std::int64_t>(synth::preset_names().size())
+                : 1 + static_cast<std::int64_t>(args.train.size());
 
   const std::string worker_bin =
       args.worker_bin.empty() ? default_worker_bin(argv[0]) : args.worker_bin;
