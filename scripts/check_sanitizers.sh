@@ -3,9 +3,11 @@
 # and runs the ingestion-facing tests (parsers — the JSON reader behind
 # request bodies and state files, the campaign.json row reader and the
 # telemetry.jsonl tail among them —, campaign directory scans,
-# validator, fault injection, pipeline, command-line flags) plus
-# the tree and bagging learners, whose presorted split search is all
-# offset arithmetic. Any sanitizer finding aborts the run
+# validator, fault injection, the core::load_suites suite loader
+# (BatchIsolation), the model decoders load_model and load_bagging
+# (ResilienceAttack, MlSerialize), command-line flags) plus the tree
+# and bagging learners, whose presorted split search is all offset
+# arithmetic. Any sanitizer finding aborts the run
 # (-fno-sanitize-recover=all) and fails the script.
 #
 # Usage: scripts/check_sanitizers.sh [extra ctest args...]

@@ -26,7 +26,10 @@
 #   9. the attack-server check (daemon start, concurrent scoring with
 #      digest parity against the batch CLI, warm-cache + store
 #      hydration, slow/silent-client resilience, SIGKILL + restart from
-#      the store, SIGTERM drain), under the same hard-timeout policy.
+#      the store, SIGTERM drain), under the same hard-timeout policy,
+#  10. the remote-campaign check (shards dispatched to a server fleet:
+#      failover, torn responses, the whole fleet down and the local
+#      fallback), under the same hard-timeout policy.
 #
 # Each stage uses its own build tree (build/, build-asan/, build-tsan/),
 # so a warm workstation checkout re-runs incrementally. Any failure stops

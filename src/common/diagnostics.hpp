@@ -89,8 +89,6 @@ class DiagnosticSink {
 
   void clear();
 
-  /// Storage cap; further diagnostics are counted but not stored.
-  void set_max_stored(std::size_t n) { max_stored_ = n; }
   std::size_t dropped() const { return total_ - diags_.size(); }
 
  private:
@@ -98,7 +96,7 @@ class DiagnosticSink {
   std::vector<Diagnostic> diags_;
   std::size_t counts_[4] = {0, 0, 0, 0};
   std::size_t total_ = 0;
-  std::size_t max_stored_ = 1024;
+  std::size_t max_stored_ = 1024;  ///< further diagnostics are only counted
 };
 
 }  // namespace repro::common

@@ -92,12 +92,6 @@ void configure(const FaultSpec& spec) {
 
 void reset() { configure(FaultSpec{}); }
 
-FaultSpec current_spec() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  ensure_loaded_locked();
-  return g_spec;
-}
-
 Action on_artifact_commit() {
   FaultSpec spec;
   {
@@ -167,10 +161,6 @@ void crash_now() {
   // SIGKILL cannot be handled; if we are somehow still running (e.g. a
   // hostile test harness), die without flushing anything.
   std::_Exit(137);
-}
-
-std::int64_t commits_seen() {
-  return g_commits.load(std::memory_order_relaxed);
 }
 
 std::int64_t net_requests_seen() {

@@ -89,9 +89,6 @@ void configure(const FaultSpec& spec);
 /// Disarms and resets (tests). The environment is not re-read afterwards.
 void reset();
 
-/// The currently armed spec (env is read lazily on first use).
-FaultSpec current_spec();
-
 /// What the caller must do with the commit it is about to perform.
 enum class Action {
   kNone = 0,
@@ -125,9 +122,6 @@ enum class NetAction {
 /// never fire from on_artifact_commit()) — the two counters are
 /// independent.
 NetAction on_net_request();
-
-/// Commits observed so far (tests / reporting).
-std::int64_t commits_seen();
 
 /// Net request attempts observed so far (tests / reporting).
 std::int64_t net_requests_seen();

@@ -39,7 +39,6 @@ struct JsonValue {
 
   bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }
-  bool is_string() const { return kind == Kind::kString; }
   bool is_number() const { return kind == Kind::kNumber; }
 
   /// Object member lookup (first match); nullptr when absent or not an

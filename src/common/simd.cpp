@@ -62,8 +62,6 @@ void set_level(Level level) {
                 std::memory_order_relaxed);
 }
 
-void reset_level() { g_level.store(-1, std::memory_order_relaxed); }
-
 #if defined(REPRO_SIMD_X86)
 
 const std::uint32_t (&compress8_table())[256][8] {

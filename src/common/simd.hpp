@@ -67,10 +67,6 @@ Level active();
 /// benches use this to run the same kernel at every level in-process.
 void set_level(Level level);
 
-/// Drops the cached resolution so the next active() re-reads
-/// REPRO_SIMD. For tests that mutate the environment.
-void reset_level();
-
 #if defined(REPRO_SIMD_X86)
 
 /// Left-packing permutation table for 8-lane i32 compress-emit: row m

@@ -29,9 +29,6 @@ class ChallengeSuite {
   const splitmfg::SplitChallenge& challenge(std::size_t i) const {
     return challenges_[i];
   }
-  std::vector<splitmfg::SplitChallenge>& mutable_challenges() {
-    return challenges_;
-  }
   const std::vector<splitmfg::SplitChallenge>& challenges() const {
     return challenges_;
   }

@@ -1,5 +1,6 @@
 #include "core/resilience.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -267,11 +268,33 @@ StatusOr<TrainedModel> load_model(const std::string& raw) {
   if (r.remaining() != 0) {
     return Status::DataLoss("model artifact: trailing bytes after payload");
   }
+  // The CRC vouches for the bytes, not for what scoring does with them:
+  // every index, size and radius the engine uses unchecked must be sane.
+  if (model.config.hist_bins < 1) {
+    return Status::DataLoss("model artifact: no histogram bins");
+  }
+  for (const int f : model.feat_idx) {
+    if (f < 0 || f >= kNumFeatures) {
+      return Status::DataLoss("model artifact: feature index out of range");
+    }
+  }
+  if (has_nbhd && !(std::isfinite(nbhd) && nbhd >= 0)) {
+    return Status::DataLoss("model artifact: bad neighbourhood radius");
+  }
   if (has_nbhd) model.filter.neighborhood = nbhd;
   model.filter.limit_top_direction = limit_top != 0;
   model.filter.top_metal_horizontal = top_horiz != 0;
   StatusOr<ml::BaggingClassifier> clf = ml::load_bagging(classifier_raw);
   if (!clf.ok()) return clf.status();
+  const int row_width = static_cast<int>(model.feat_idx.size());
+  for (int t = 0; t < clf->num_trees(); ++t) {
+    const ml::DecisionTree& tree = clf->tree(t);
+    for (int i = 0; i < tree.num_nodes(); ++i) {
+      if (tree.node(i).feature >= row_width) {
+        return Status::DataLoss("model artifact: split on a missing feature");
+      }
+    }
+  }
   model.classifier = std::move(*clf);
   return model;
 }

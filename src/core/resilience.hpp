@@ -83,7 +83,11 @@ std::string save_result(const AttackResult& res);
 common::StatusOr<AttackResult> load_result(const std::string& raw);
 
 /// TrainedModel <-> sealed artifact (config, feature indices, pair
-/// filter, the full ensemble, sample counts and timings).
+/// filter, the full ensemble, sample counts and timings). load_model
+/// returns kDataLoss for anything scoring would misuse: a feature index
+/// outside the 11 features, a tree split on a feature the model does not
+/// project, fewer than one histogram bin, or a negative or non-finite
+/// neighbourhood radius.
 std::string save_model(const TrainedModel& model);
 common::StatusOr<TrainedModel> load_model(const std::string& raw);
 

@@ -46,23 +46,9 @@ struct Rect {
   Dbu width() const { return hi.x - lo.x; }
   Dbu height() const { return hi.y - lo.y; }
   Dbu area() const { return width() * height(); }
-  Point center() const { return {(lo.x + hi.x) / 2, (lo.y + hi.y) / 2}; }
 
   bool contains(const Point& p) const {
     return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y;
-  }
-  bool intersects(const Rect& o) const {
-    return lo.x <= o.hi.x && o.lo.x <= hi.x && lo.y <= o.hi.y && o.lo.y <= hi.y;
-  }
-  /// Grow by `d` in every direction (d may be negative; callers must keep the
-  /// result non-degenerate).
-  Rect inflated(Dbu d) const {
-    return {Point{lo.x - d, lo.y - d}, Point{hi.x + d, hi.y + d}};
-  }
-  /// Smallest rect containing both this and `p`.
-  Rect bounding(const Point& p) const {
-    return {Point{std::min(lo.x, p.x), std::min(lo.y, p.y)},
-            Point{std::max(hi.x, p.x), std::max(hi.y, p.y)}};
   }
 
   friend bool operator==(const Rect&, const Rect&) = default;
@@ -96,8 +82,6 @@ class Grid2D {
     assert(in_bounds(x, y));
     return data_[static_cast<std::size_t>(y) * nx_ + x];
   }
-
-  void fill(const T& v) { std::fill(data_.begin(), data_.end(), v); }
 
   auto begin() { return data_.begin(); }
   auto end() { return data_.end(); }

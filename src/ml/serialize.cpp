@@ -67,10 +67,14 @@ StatusOr<BaggingClassifier> load_bagging(const std::string& raw) {
     if (!r.ok()) return r.status();
     // Structural validation: the tree walker indexes nodes_ unchecked,
     // so a CRC-valid but malformed artifact must be rejected here.
+    // Children must also lie after their parent (the trainer appends a
+    // node before its children): ids then rise along every walk, so each
+    // walk reaches a leaf.
     const int limit = static_cast<int>(num_nodes);
-    for (const TreeNode& n : nodes) {
+    for (int i = 0; i < limit; ++i) {
+      const TreeNode& n = nodes[static_cast<std::size_t>(i)];
       if (n.is_leaf()) continue;
-      if (n.left < 0 || n.left >= limit || n.right < 0 || n.right >= limit) {
+      if (n.left <= i || n.left >= limit || n.right <= i || n.right >= limit) {
         return Status::DataLoss("model artifact: child index out of range");
       }
     }
@@ -80,17 +84,6 @@ StatusOr<BaggingClassifier> load_bagging(const std::string& raw) {
     return Status::DataLoss("model artifact: trailing bytes after payload");
   }
   return BaggingClassifier::from_trees(std::move(trees));
-}
-
-Status save_bagging_file(const BaggingClassifier& clf,
-                         const std::string& path) {
-  return common::atomic_write_file(path, save_bagging(clf));
-}
-
-StatusOr<BaggingClassifier> load_bagging_file(const std::string& path) {
-  StatusOr<std::string> raw = common::read_file(path);
-  if (!raw.ok()) return raw.status();
-  return load_bagging(*raw);
 }
 
 }  // namespace repro::ml

@@ -9,10 +9,10 @@
 // checkpoint/resume machinery (common/checkpoint.hpp) relies on to make
 // resumed attack runs reproduce uninterrupted ones exactly.
 //
-// load_bagging validates structure, not just the checksum: child indices
-// must be in range and non-leaf nodes must have both children, so a
+// load_bagging validates structure, not just the checksum: every non-leaf
+// node's two children must be in range and come after it, so a
 // corrupt-but-CRC-valid artifact (e.g. written by a future buggy writer)
-// is rejected with kDataLoss instead of crashing the walker.
+// is rejected with kDataLoss instead of crashing or hanging the walker.
 #pragma once
 
 #include <string>
@@ -33,11 +33,5 @@ std::string save_bagging(const BaggingClassifier& clf);
 /// Parses an artifact produced by save_bagging. Returns kDataLoss on
 /// checksum/version/structure violations.
 common::StatusOr<BaggingClassifier> load_bagging(const std::string& raw);
-
-/// Convenience wrappers: atomic file write / whole-file read.
-common::Status save_bagging_file(const BaggingClassifier& clf,
-                                 const std::string& path);
-common::StatusOr<BaggingClassifier> load_bagging_file(
-    const std::string& path);
 
 }  // namespace repro::ml

@@ -113,9 +113,9 @@ class DecisionTree {
                             std::span<const int> rows, TreeScratch& scratch);
 
   /// Rebuilds a tree from stored nodes (model deserialization). The
-  /// caller vouches that child indices are in range and the node at
-  /// index 0 is the root; ml::load_bagging validates both before
-  /// calling.
+  /// caller vouches that the node at index 0 is the root and that every
+  /// internal node's children are in range and come after it;
+  /// ml::load_bagging validates both before calling.
   static DecisionTree from_nodes(std::vector<TreeNode> nodes) {
     DecisionTree t;
     t.nodes_ = std::move(nodes);

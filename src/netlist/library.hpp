@@ -34,12 +34,6 @@ struct LibCell {
 
   geom::Dbu area() const { return width * height; }
 
-  const LibPin* find_pin(const std::string& pin_name) const {
-    for (const LibPin& p : pins) {
-      if (p.name == pin_name) return &p;
-    }
-    return nullptr;
-  }
   int num_inputs() const {
     int n = 0;
     for (const LibPin& p : pins) n += (p.dir == PinDir::kInput);

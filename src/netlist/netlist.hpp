@@ -56,7 +56,6 @@ class Netlist {
 
   const std::string& name() const { return name_; }
   const Library& library() const { return *lib_; }
-  std::shared_ptr<const Library> library_ptr() const { return lib_; }
 
   CellId add_cell(std::string inst_name, int lib_cell, geom::Point origin);
   NetId add_net(Net net);

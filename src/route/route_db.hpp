@@ -114,7 +114,6 @@ class UsageMap {
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  int num_layers() const { return static_cast<int>(layers_.size()); }
 
  private:
   int nx_ = 0;

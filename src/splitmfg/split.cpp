@@ -8,6 +8,13 @@ namespace repro::splitmfg {
 
 namespace {
 
+// Congestion features: pin density PC and v-pin density RC, each
+// measured over the (2r+1)x(2r+1) block of bins around its point.
+constexpr geom::Dbu kPcBin = 2000;  ///< pin-density bin size (DBU)
+constexpr int kPcRadius = 1;        ///< PC neighbourhood radius in bins
+constexpr geom::Dbu kRcBin = 1600;  ///< v-pin-density bin size (DBU)
+constexpr int kRcRadius = 2;        ///< RC neighbourhood radius in bins
+
 /// Small union-find over dense ids.
 class UnionFind {
  public:
@@ -60,8 +67,7 @@ long SplitChallenge::num_matching_pairs() const {
 }
 
 SplitChallenge make_challenge(const netlist::Netlist& nl,
-                              const route::RouteDB& db, int split_layer,
-                              const SplitOptions& opt) {
+                              const route::RouteDB& db, int split_layer) {
   if (split_layer < 1 || split_layer > 8) {
     throw std::invalid_argument("split_layer must be a via layer in [1, 8]");
   }
@@ -70,7 +76,7 @@ SplitChallenge make_challenge(const netlist::Netlist& nl,
   ch.split_layer = split_layer;
   ch.die = db.grid.die();
 
-  const place::PinDensityMap pin_density(nl, ch.die, opt.pc_bin);
+  const place::PinDensityMap pin_density(nl, ch.die, kPcBin);
 
   // Pass 1: cut every net, find v-pins, compute below-component features
   // and ground-truth matches.
@@ -198,7 +204,7 @@ SplitChallenge make_challenge(const netlist::Netlist& nl,
         vp.pin_loc = {static_cast<geom::Dbu>(s.first / cnt),
                       static_cast<geom::Dbu>(s.second / cnt)};
       }
-      vp.pc = pin_density.density_around(vp.pin_loc, opt.pc_radius);
+      vp.pc = pin_density.density_around(vp.pin_loc, kPcRadius);
       // rc is filled in pass 2 (needs all v-pins first).
       ids.push_back(vp.id);
       below_roots.push_back(broot);
@@ -221,15 +227,15 @@ SplitChallenge make_challenge(const netlist::Netlist& nl,
   // Pass 2: v-pin (routing) congestion RC over the finished v-pin set.
   if (!ch.vpins.empty()) {
     const int nx =
-        std::max<int>(1, static_cast<int>(ch.die.width() / opt.rc_bin));
+        std::max<int>(1, static_cast<int>(ch.die.width() / kRcBin));
     const int ny =
-        std::max<int>(1, static_cast<int>(ch.die.height() / opt.rc_bin));
+        std::max<int>(1, static_cast<int>(ch.die.height() / kRcBin));
     geom::Grid2D<int> grid(nx, ny, 0);
     const auto bin_of = [&](const geom::Point& p) {
       return std::pair<int, int>(
-          geom::clamp(static_cast<int>((p.x - ch.die.lo.x) / opt.rc_bin), 0,
+          geom::clamp(static_cast<int>((p.x - ch.die.lo.x) / kRcBin), 0,
                       nx - 1),
-          geom::clamp(static_cast<int>((p.y - ch.die.lo.y) / opt.rc_bin), 0,
+          geom::clamp(static_cast<int>((p.y - ch.die.lo.y) / kRcBin), 0,
                       ny - 1));
     };
     for (const Vpin& v : ch.vpins) {
@@ -240,16 +246,16 @@ SplitChallenge make_challenge(const netlist::Netlist& nl,
       const auto [bx, by] = bin_of(v.pos);
       long total = 0;
       int bins = 0;
-      for (int dx = -opt.rc_radius; dx <= opt.rc_radius; ++dx) {
-        for (int dy = -opt.rc_radius; dy <= opt.rc_radius; ++dy) {
+      for (int dx = -kRcRadius; dx <= kRcRadius; ++dx) {
+        for (int dy = -kRcRadius; dy <= kRcRadius; ++dy) {
           if (!grid.in_bounds(bx + dx, by + dy)) continue;
           total += grid.at(bx + dx, by + dy);
           ++bins;
         }
       }
       const double area = static_cast<double>(bins) *
-                          static_cast<double>(opt.rc_bin) *
-                          static_cast<double>(opt.rc_bin) / 1e6;
+                          static_cast<double>(kRcBin) *
+                          static_cast<double>(kRcBin) / 1e6;
       v.rc = bins > 0 ? static_cast<double>(total) / area : 0.0;
     }
   }

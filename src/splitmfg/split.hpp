@@ -49,13 +49,6 @@ struct Vpin {
   bool drives() const { return out_area > 0; }
 };
 
-struct SplitOptions {
-  geom::Dbu pc_bin = 2000;  ///< pin-density bin size (DBU)
-  int pc_radius = 1;        ///< neighbourhood radius in bins
-  geom::Dbu rc_bin = 1600;  ///< v-pin-density bin size (DBU)
-  int rc_radius = 2;
-};
-
 /// A challenge instance: one design cut at one split layer.
 struct SplitChallenge {
   std::string design_name;
@@ -78,7 +71,6 @@ struct SplitChallenge {
 /// from the BEOL part); an attacker-side FEOL-only variant of the feature
 /// extraction is exercised via the DEF path in tests.
 SplitChallenge make_challenge(const netlist::Netlist& nl,
-                              const route::RouteDB& db, int split_layer,
-                              const SplitOptions& opt = {});
+                              const route::RouteDB& db, int split_layer);
 
 }  // namespace repro::splitmfg

@@ -293,76 +293,4 @@ ValidationReport validate_design(lefdef::DefDesign& def,
   return report;
 }
 
-ValidationReport validate_challenge(SplitChallenge& ch,
-                                    const ValidationOptions& opt,
-                                    common::DiagnosticSink& sink) {
-  ValidationReport report;
-  Reporter rep(report, opt, sink);
-
-  if (ch.split_layer < 1 || ch.split_layer > opt.num_via_layers) {
-    rep.fatal("validate.bad_split_layer",
-              "challenge split layer " + std::to_string(ch.split_layer) +
-                  " outside via stack");
-  }
-  if (ch.die.width() <= 0 || ch.die.height() <= 0) {
-    rep.fatal("validate.degenerate_die",
-              "challenge die has non-positive width or height");
-  } else if (ch.die.width() > kMaxDieExtent ||
-             ch.die.height() > kMaxDieExtent) {
-    rep.fatal("validate.huge_die", "challenge die extent exceeds " +
-                                       std::to_string(kMaxDieExtent) +
-                                       " DBU; input is corrupt");
-  }
-  if (!report.ok()) return report;
-
-  const int n = ch.num_vpins();
-  for (VpinId v = 0; v < n; ++v) {
-    Vpin& vp = ch.vpins[static_cast<std::size_t>(v)];
-    const double features[] = {vp.wirelength, vp.in_area, vp.out_area,
-                               vp.pc, vp.rc};
-    for (double f : features) {
-      if (!std::isfinite(f)) {
-        if (rep.repairable("validate.nonfinite_feature",
-                           "v-pin " + std::to_string(v) +
-                               " has a non-finite feature; zeroing")) {
-          if (!std::isfinite(vp.wirelength)) vp.wirelength = 0;
-          if (!std::isfinite(vp.in_area)) vp.in_area = 0;
-          if (!std::isfinite(vp.out_area)) vp.out_area = 0;
-          if (!std::isfinite(vp.pc)) vp.pc = 0;
-          if (!std::isfinite(vp.rc)) vp.rc = 0;
-        }
-        break;
-      }
-    }
-    if (!ch.die.contains(vp.pos)) {
-      if (rep.repairable("validate.off_die_vpin",
-                         "v-pin " + std::to_string(v) +
-                             " lies outside the die; clamping")) {
-        vp.pos.x = geom::clamp(vp.pos.x, ch.die.lo.x, ch.die.hi.x);
-        vp.pos.y = geom::clamp(vp.pos.y, ch.die.lo.y, ch.die.hi.y);
-      }
-    }
-    for (VpinId m : vp.matches) {
-      if (m < 0 || m >= n) {
-        rep.fatal("validate.bad_match_ref",
-                  "v-pin " + std::to_string(v) +
-                      " matches out-of-range v-pin " + std::to_string(m));
-      } else if (m == v) {
-        rep.fatal("validate.self_match",
-                  "v-pin " + std::to_string(v) + " matches itself");
-      } else if (!ch.is_match(m, v)) {
-        if (rep.repairable("validate.asymmetric_match",
-                           "match " + std::to_string(v) + " -> " +
-                               std::to_string(m) +
-                               " lacks its reciprocal; adding")) {
-          ch.vpins[static_cast<std::size_t>(m)].matches.push_back(v);
-        }
-      }
-    }
-    if (!report.ok()) return report;
-  }
-
-  return report;
-}
-
 }  // namespace repro::splitmfg

@@ -63,10 +63,4 @@ ValidationReport validate_design(lefdef::DefDesign& def,
                                  const ValidationOptions& opt,
                                  common::DiagnosticSink& sink);
 
-/// Validates an extracted challenge: finite feature values, v-pins inside
-/// the die, symmetric ground-truth match lists. Never throws.
-ValidationReport validate_challenge(SplitChallenge& ch,
-                                    const ValidationOptions& opt,
-                                    common::DiagnosticSink& sink);
-
 }  // namespace repro::splitmfg

@@ -57,11 +57,6 @@ class Technology {
     return vias_[static_cast<std::size_t>(index - 1)];
   }
 
-  MetalLayer& mutable_metal(int index) {
-    assert(index >= 1 && index <= num_metal_layers());
-    return metals_[static_cast<std::size_t>(index - 1)];
-  }
-
   geom::Dbu gcell_size() const { return gcell_size_; }
 
   /// True if `split_layer` (a via layer index) is the highest via layer;

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -231,6 +232,11 @@ class BatchIsolation : public ::testing::Test {
     params.num_cells = 250;
     params.name = "batch";
     design_ = std::make_unique<synth::SynthDesign>(synth::generate(params));
+    params = synth::preset("sb5");
+    params.num_cells = 250;
+    params.name = "other";
+    other_design_ =
+        std::make_unique<synth::SynthDesign>(synth::generate(params));
     tech_ = std::make_unique<tech::Technology>(
         tech::Technology::make_default(kGcell));
 
@@ -250,6 +256,15 @@ class BatchIsolation : public ::testing::Test {
     // Truncate mid-file: unrecoverable, the design must be skipped.
     write_file(bad_, def_text_.substr(0, def_text_.size() / 2));
     write_file(good2_, def_text_);
+    lef_ = dir_ + "/tech.lef";
+    std::stringstream lef_ss;
+    lefdef::write_lef(lef_ss, *tech_, *design_->lib);
+    write_file(lef_, lef_ss.str());
+    other_ = dir_ + "/other.def";
+    std::stringstream other_ss;
+    lefdef::write_def(other_ss, *other_design_->netlist,
+                      other_design_->routes);
+    write_file(other_, other_ss.str());
   }
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -264,10 +279,41 @@ class BatchIsolation : public ::testing::Test {
     return lefdef::LefContents{*tech_, *design_->lib};
   }
 
-  std::unique_ptr<synth::SynthDesign> design_;
+  /// The LEF/DEF files of this fixture as a tool's suite flags.
+  core::SuiteSource source(std::vector<std::string> train,
+                           std::string victim) const {
+    core::SuiteSource s;
+    s.lef = lef_;
+    s.train = std::move(train);
+    s.victim = std::move(victim);
+    return s;
+  }
+
+  std::unique_ptr<synth::SynthDesign> design_, other_design_;
   std::unique_ptr<tech::Technology> tech_;
-  std::string def_text_, dir_, good1_, bad_, good2_;
+  std::string def_text_, dir_, good1_, bad_, good2_, lef_, other_;
 };
+
+/// Field-by-field equality of two cut designs.
+void expect_same_challenge(const splitmfg::SplitChallenge& got,
+                           const splitmfg::SplitChallenge& want) {
+  EXPECT_EQ(got.design_name, want.design_name);
+  EXPECT_EQ(got.split_layer, want.split_layer);
+  EXPECT_EQ(got.die, want.die);
+  ASSERT_EQ(got.num_vpins(), want.num_vpins()) << want.design_name;
+  for (int v = 0; v < want.num_vpins(); ++v) {
+    const splitmfg::Vpin& a = got.vpin(v);
+    const splitmfg::Vpin& b = want.vpin(v);
+    EXPECT_EQ(a.pos, b.pos);
+    EXPECT_EQ(a.pin_loc, b.pin_loc);
+    EXPECT_DOUBLE_EQ(a.wirelength, b.wirelength);
+    EXPECT_DOUBLE_EQ(a.in_area, b.in_area);
+    EXPECT_DOUBLE_EQ(a.out_area, b.out_area);
+    EXPECT_DOUBLE_EQ(a.pc, b.pc);
+    EXPECT_DOUBLE_EQ(a.rc, b.rc);
+    EXPECT_EQ(a.matches, b.matches);
+  }
+}
 
 TEST_F(BatchIsolation, CorruptDesignIsSkippedOthersLoad) {
   core::DefLoadOptions opt;
@@ -317,6 +363,70 @@ TEST_F(BatchIsolation, MissingFileIsIsolatedToo) {
   EXPECT_EQ(batch.num_loaded, 1);
   EXPECT_EQ(batch.num_skipped, 1);
   EXPECT_EQ(batch.designs[0].status.code(), common::StatusCode::kIoError);
+}
+
+TEST_F(BatchIsolation, SuiteLoadPutsTheVictimFirstAtEveryLayer) {
+  const int layers[] = {6, 8};
+  std::ostringstream log;
+  const auto loaded = core::load_suites(source({good1_, other_}, other_),
+                                        layers, {}, log);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string() << log.str();
+  EXPECT_EQ(loaded->train_files, 2);
+  EXPECT_EQ(loaded->train_skipped, 0);
+  ASSERT_EQ(loaded->suites.size(), 2u);
+  for (const int layer : layers) {
+    SCOPED_TRACE(layer);
+    const splitmfg::SplitChallenge victim = splitmfg::make_challenge(
+        *other_design_->netlist, other_design_->routes, layer);
+    const splitmfg::SplitChallenge train = splitmfg::make_challenge(
+        *design_->netlist, design_->routes, layer);
+    const core::ChallengeSuite& suite = loaded->suites.at(layer);
+    ASSERT_EQ(suite.size(), 3u);
+    expect_same_challenge(suite.challenge(0), victim);
+    expect_same_challenge(suite.challenge(1), train);
+    expect_same_challenge(suite.challenge(2), victim);
+  }
+}
+
+TEST_F(BatchIsolation, SuiteLoadSkipsOrRejectsABadTrainingDef) {
+  const int layers[] = {kSplit};
+  std::ostringstream log;
+  const auto loaded =
+      core::load_suites(source({good1_, bad_}, other_), layers, {}, log);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->train_files, 2);
+  EXPECT_EQ(loaded->train_skipped, 1);
+  EXPECT_EQ(loaded->suites.at(kSplit).size(), 2u);
+  EXPECT_NE(log.str().find("warning: skipping training design " + bad_),
+            std::string::npos)
+      << log.str();
+
+  std::ostringstream strict_log;
+  EXPECT_FALSE(core::load_suites(source({good1_, bad_}, other_), layers,
+                                 {.strict = true}, strict_log)
+                   .ok());
+}
+
+TEST_F(BatchIsolation, SuiteLoadRejectsBadVictimLefAndLayer) {
+  const int good_layer[] = {kSplit};
+  const int bad_layer[] = {kSplit, 9};
+  core::SuiteSource no_lef = source({good1_}, other_);
+  no_lef.lef = dir_ + "/missing.lef";
+  const struct {
+    const char* what;
+    core::SuiteSource source;
+    std::span<const int> layers;
+  } cases[] = {
+      {"truncated victim", source({good1_}, bad_), good_layer},
+      {"missing LEF", no_lef, good_layer},
+      {"layer above the via stack", source({good1_}, other_), bad_layer},
+  };
+  for (const auto& c : cases) {
+    std::ostringstream log;
+    const auto loaded = core::load_suites(c.source, c.layers, {}, log);
+    EXPECT_FALSE(loaded.ok()) << c.what;
+    EXPECT_FALSE(loaded.status().message().empty()) << c.what;
+  }
 }
 
 }  // namespace

@@ -10,9 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
+#include "synth/synth.hpp"
+
 namespace {
 
 using repro::common::FlagTable;
+using repro::core::SuiteSource;
 
 /// One field of every kind the table binds.
 struct Fields {
@@ -146,6 +150,52 @@ INSTANTIATE_TEST_SUITE_P(Table, CliFlags, ::testing::ValuesIn(kCases),
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return std::string(info.param.name);
                          });
+
+/// The SuiteSource that `args` bind, or the parse error.
+repro::common::StatusOr<SuiteSource> parse_source(
+    const std::vector<std::string>& args) {
+  SuiteSource src;
+  FlagTable t("prog");
+  src.bind(t);
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  const repro::common::Status st =
+      t.parse(static_cast<int>(argv.size()), argv.data());
+  if (!st.ok()) return st;
+  return src;
+}
+
+TEST(CliFlags, SuiteSourceRoundTrip) {
+  const auto files = parse_source({"--lef", "t.lef", "--train", "a.def",
+                                   "--victim", "v.def", "--train", "b.def"});
+  ASSERT_TRUE(files.ok()) << files.status().to_string();
+  EXPECT_FALSE(files->demo);
+  EXPECT_EQ(files->lef, "t.lef");
+  EXPECT_EQ(files->train, (std::vector<std::string>{"a.def", "b.def"}));
+  EXPECT_EQ(files->victim, "v.def");
+  EXPECT_EQ(files->usage_error(), "");
+  EXPECT_EQ(files->num_designs(), 3);
+
+  // What a campaign hands its workers names the same suite.
+  const auto worker = parse_source(files->worker_argv());
+  ASSERT_TRUE(worker.ok()) << worker.status().to_string();
+  EXPECT_EQ(worker->demo, files->demo);
+  EXPECT_EQ(worker->lef, files->lef);
+  EXPECT_EQ(worker->train, files->train);
+  EXPECT_EQ(worker->victim, files->victim);
+
+  const auto no_victim = parse_source({"--lef", "t.lef", "--train", "a.def"});
+  ASSERT_TRUE(no_victim.ok());
+  EXPECT_EQ(no_victim->usage_error(),
+            "file mode needs --lef, --train and --victim");
+
+  const auto demo = parse_source({"--demo"});
+  ASSERT_TRUE(demo.ok());
+  EXPECT_EQ(demo->usage_error(), "");
+  EXPECT_EQ(demo->num_designs(),
+            static_cast<std::int64_t>(repro::synth::preset_names().size()));
+  EXPECT_EQ(demo->worker_argv(), (std::vector<std::string>{"--demo"}));
+}
 
 TEST(CliFlagsUsage, ListsEveryFlagWithItsMetavarInOrder) {
   Fields f;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -131,6 +132,28 @@ TEST(MlSerialize, CorruptionAndTruncationAreDataLoss) {
   EXPECT_FALSE(ml::load_bagging(raw + "x").ok()) << "trailing bytes";
 }
 
+TEST(MlSerialize, ChildAtOrBeforeItsParentIsDataLoss) {
+  // In range, but a walk from the root would never reach a leaf.
+  const ml::Dataset data = tiny_dataset();
+  const auto clf = ml::BaggingClassifier::train(
+      data, ml::BaggingOptions::reptree_bagging(1));
+  std::vector<ml::TreeNode> nodes;
+  for (int i = 0; i < clf.tree(0).num_nodes(); ++i) {
+    nodes.push_back(clf.tree(0).node(i));
+  }
+  ASSERT_FALSE(nodes[0].is_leaf());
+  for (const bool left : {true, false}) {
+    std::vector<ml::TreeNode> looped = nodes;
+    (left ? looped[0].left : looped[0].right) = 0;
+    std::vector<ml::DecisionTree> trees;
+    trees.push_back(ml::DecisionTree::from_nodes(std::move(looped)));
+    const auto back = ml::load_bagging(
+        ml::save_bagging(ml::BaggingClassifier::from_trees(std::move(trees))));
+    EXPECT_EQ(back.status().code(), common::StatusCode::kDataLoss)
+        << (left ? "left" : "right");
+  }
+}
+
 // --- attack artifacts -----------------------------------------------------
 
 class ResilienceAttack : public ::testing::Test {
@@ -175,6 +198,55 @@ TEST_F(ResilienceAttack, TrainedModelRoundTripsBitExact) {
       core::AttackEngine::test(*back, challenges_[0]);
   EXPECT_TRUE(same_result(from_orig, from_loaded));
   EXPECT_EQ(core::result_digest(from_orig), core::result_digest(from_loaded));
+}
+
+TEST_F(ResilienceAttack, LoadModelRejectsWhatScoringWouldMisuse) {
+  const core::TrainedModel model =
+      core::AttackEngine::train(training_for_0(), cfg_);
+  ASSERT_TRUE(core::load_model(core::save_model(model)).ok());
+  ASSERT_TRUE(model.filter.neighborhood.has_value());
+  const ml::DecisionTree& tree0 = model.classifier.tree(0);
+  ASSERT_FALSE(tree0.node(0).is_leaf());
+
+  // A copy of `model` whose tree 0 root is edited by `edit`.
+  const auto with_root = [&](auto edit) {
+    std::vector<ml::TreeNode> nodes;
+    for (int i = 0; i < tree0.num_nodes(); ++i) nodes.push_back(tree0.node(i));
+    edit(nodes[0]);
+    std::vector<ml::DecisionTree> trees;
+    trees.push_back(ml::DecisionTree::from_nodes(std::move(nodes)));
+    for (int t = 1; t < model.classifier.num_trees(); ++t) {
+      trees.push_back(model.classifier.tree(t));
+    }
+    core::TrainedModel m = model;
+    m.classifier = ml::BaggingClassifier::from_trees(std::move(trees));
+    return m;
+  };
+  const int num_feat = static_cast<int>(model.feat_idx.size());
+  struct Mutant {
+    const char* rule;
+    core::TrainedModel model;
+  };
+  std::vector<Mutant> mutants;
+  for (const int f : {-1, static_cast<int>(core::kNumFeatures)}) {
+    mutants.push_back({"feat_idx entry outside the 11 features", model});
+    mutants.back().model.feat_idx[0] = f;
+  }
+  mutants.push_back({"root splits on a feature past feat_idx",
+                     with_root([&](ml::TreeNode& n) { n.feature = num_feat; })});
+  mutants.push_back({"root is its own child",
+                     with_root([](ml::TreeNode& n) { n.right = 0; })});
+  mutants.push_back({"zero histogram bins", model});
+  mutants.back().model.config.hist_bins = 0;
+  for (const double r : {std::nan(""), -1.0, HUGE_VAL}) {
+    mutants.push_back({"neighbourhood radius not finite and >= 0", model});
+    mutants.back().model.filter.neighborhood = r;
+  }
+  for (const Mutant& m : mutants) {
+    EXPECT_EQ(core::load_model(core::save_model(m.model)).status().code(),
+              common::StatusCode::kDataLoss)
+        << m.rule;
+  }
 }
 
 TEST_F(ResilienceAttack, ResultRoundTripsBitExactWithEqualDigest) {

@@ -65,7 +65,6 @@
 // 3 interrupted (signal or exhausted budget; partial state was flushed),
 // 4 complete but degraded (--fold worker mode only).
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -87,7 +86,6 @@
 #include "core/pipeline.hpp"
 #include "core/proximity.hpp"
 #include "core/resilience.hpp"
-#include "lefdef/lefdef.hpp"
 
 namespace {
 
@@ -95,16 +93,13 @@ using namespace repro;
 using common::hex64;
 
 struct Args {
-  std::string lef;
-  std::vector<std::string> train;
-  std::string victim;
+  core::SuiteSource source;
   int split = 8;
   int threads = 0;  ///< worker pool size; 0 = REPRO_THREADS / hardware
   std::string config = "Imp-9";
   double threshold = 0.5;
   std::string out;
   bool pa = false;
-  bool demo = false;
   bool loo = false;
   bool strict = false;
   bool validate = true;
@@ -132,11 +127,9 @@ Args parse_args(int argc, char** argv) {
   common::FlagTable flags(argv[0]);
   // --split's upper bound is re-checked against the parsed technology's
   // via stack.
-  flags.text("--lef", "FILE", &a.lef)
+  a.source.bind(flags)
       .integer("--split", "N", &a.split, 1, 64)
       .text("--config", "NAME", &a.config)
-      .text("--train", "FILE", &a.train)
-      .text("--victim", "FILE", &a.victim)
       .integer("--threads", "N", &a.threads, 0, 1024)
       .number("--threshold", "T", &a.threshold, 0.0, 1.0)
       .text("--out", "CSV", &a.out)
@@ -156,11 +149,10 @@ Args parse_args(int argc, char** argv) {
       .number("--deadline-s", "S", &a.deadline_s, 0.001, 1e9)
       .integer("--max-rss-mb", "N", &a.max_rss_mb, 1, 1 << 20)
       .text("--digest-out", "JSON", &a.digest_out)
-      .integer("--fold", "K", &a.fold, 0, 1 << 20)
-      .flag("--demo", &a.demo);
+      .integer("--fold", "K", &a.fold, 0, 1 << 20);
   flags.parse_or_exit(argc, argv);
-  if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    flags.fail("file mode needs --lef, --train and --victim");
+  if (const std::string why = a.source.usage_error(); !why.empty()) {
+    flags.fail(why);
   }
   if (a.resume && a.checkpoint_dir.empty()) {
     flags.fail("--resume requires --checkpoint-dir");
@@ -288,7 +280,7 @@ bool emit_obs_outputs(const Args& args, common::obs::RunReport& rep) {
 /// Single-victim stdout: the attack summary for fold 0.
 void print_victim_result(const Args& args, const core::ChallengeSuite& suite,
                          const core::FoldRun& run, int num_threads,
-                         int num_train_files, int num_skipped,
+                         const core::LoadedSuites& loaded,
                          const core::AttackConfig& cfg) {
   const splitmfg::SplitChallenge& victim = suite.challenge(0);
   const core::AttackResult& res = *run.result;
@@ -297,7 +289,7 @@ void print_victim_result(const Args& args, const core::ChallengeSuite& suite,
   std::printf("v-pins:        %d\n", victim.num_vpins());
   std::printf("threads:       %d\n", num_threads);
   std::printf("train designs: %zu of %d (%d skipped)\n", suite.size() - 1,
-              num_train_files, num_skipped);
+              loaded.train_files, loaded.train_skipped);
   if (run.model) {
     std::printf("train samples: %d\n", run.model->num_train_samples);
     std::printf("phase times:   sample %.2fs, fit %.2fs, score %.2fs "
@@ -364,94 +356,18 @@ int run(const Args& args) {
   // Every mode attacks one leave-one-out suite in [victim, training...]
   // order: --loo runs all of its folds, --fold K fold K, and
   // single-victim mode fold 0 (train on the rest, test the victim).
-  std::vector<splitmfg::SplitChallenge> designs;
-  int num_train_files = 0;
-  int num_skipped = 0;
-
   common::obs::SpanGuard ingest_span("ingest");
-  if (args.demo) {
-    const double scale = synth::scale_from_env();
-    std::fprintf(stderr, "[demo] generating the built-in suite (scale "
-                 "%.2f)...\n", scale);
-    // The first design is the victim, the rest train.
-    designs = core::build_challenges(synth::generate_benchmark_suite(scale),
-                                     args.split);
-    num_train_files = static_cast<int>(designs.size()) - 1;
-  } else {
-    std::ifstream lef_in(args.lef);
-    if (!lef_in) {
-      std::fprintf(stderr, "error: cannot open %s\n", args.lef.c_str());
-      return 1;
-    }
-    common::DiagnosticSink lef_sink(args.lef);
-    common::StatusOr<lefdef::LefContents> lef =
-        lefdef::read_lef(lef_in, lef_sink);
-    if (!lef.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", args.lef.c_str(),
-                   lef.status().to_string().c_str());
-      lef_sink.print(std::cerr);
-      return 1;
-    }
-    if (args.split > lef->tech.num_via_layers()) {
-      std::fprintf(stderr,
-                   "error: --split %d outside the technology's via stack "
-                   "[1, %d]\n",
-                   args.split, lef->tech.num_via_layers());
-      return 1;
-    }
-
-    core::DefLoadOptions load_opt;
-    load_opt.split_layer = args.split;
-    load_opt.strict = args.strict;
-    load_opt.validate = args.validate;
-    load_opt.repair = args.repair;
-
-    common::DiagnosticSink sink;
-    core::DefBatch batch =
-        core::load_challenges_from_defs(args.train, *lef, load_opt, sink);
-    num_train_files = static_cast<int>(args.train.size());
-    num_skipped = batch.num_skipped;
-    for (const core::DefLoadOutcome& d : batch.designs) {
-      if (!d.loaded) {
-        std::fprintf(stderr, "warning: skipping training design %s: %s\n",
-                     d.path.c_str(), d.status.to_string().c_str());
-      } else if (d.validation.repaired > 0 || d.validation.ignored > 0) {
-        std::fprintf(stderr, "note: %s: validation %s\n", d.path.c_str(),
-                     d.validation.summary().c_str());
-      }
-    }
-    if (num_skipped > 0) sink.print(std::cerr);
-    if (args.strict && num_skipped > 0) {
-      std::fprintf(stderr,
-                   "error: --strict: %d training design(s) failed to load\n",
-                   num_skipped);
-      return 1;
-    }
-    std::vector<splitmfg::SplitChallenge> training = batch.take_loaded();
-    if (training.empty()) {
-      std::fprintf(stderr, "error: no usable training designs\n");
-      return 1;
-    }
-
-    common::DiagnosticSink victim_sink;
-    const auto lib = std::make_shared<const netlist::Library>(lef->lib);
-    common::StatusOr<splitmfg::SplitChallenge> v =
-        core::load_challenge_from_def(args.victim, *lef, lib, load_opt,
-                                      victim_sink);
-    if (!v.ok()) {
-      std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
-                   v.status().to_string().c_str());
-      victim_sink.print(std::cerr);
-      return 1;
-    }
-    designs.push_back(std::move(v).value());
-    for (splitmfg::SplitChallenge& ch : training) {
-      designs.push_back(std::move(ch));
-    }
-    common::obs::record_diagnostics("ingest.victim_diag", victim_sink);
+  common::StatusOr<core::LoadedSuites> loaded = core::load_suites(
+      args.source, {&args.split, 1},
+      {.strict = args.strict, .validate = args.validate,
+       .repair = args.repair},
+      std::cerr);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
+    return 1;
   }
   ingest_span.end();
-  const core::ChallengeSuite suite(std::move(designs));
+  const core::ChallengeSuite& suite = loaded->suites.at(args.split);
 
   const core::AttackConfig cfg = core::config_from_name(args.config);
   const int num_threads = common::global_pool().num_threads();
@@ -464,8 +380,8 @@ int run(const Args& args) {
       .set("threads", num_threads)
       .set("seed", static_cast<std::int64_t>(cfg.seed))
       .set("logical_time", args.obs_logical_time)
-      .set("train_files", num_train_files)
-      .set("train_skipped", num_skipped);
+      .set("train_files", loaded->train_files)
+      .set("train_skipped", loaded->train_skipped);
   if (!args.checkpoint_dir.empty()) {
     rep.set("checkpoint_dir", args.checkpoint_dir).set("resume", args.resume);
   }
@@ -617,8 +533,7 @@ int run(const Args& args) {
                   ch.num_vpins(),
                   run.result->mean_loc_at_threshold(args.threshold));
     } else {
-      print_victim_result(args, suite, run, num_threads, num_train_files,
-                          num_skipped, cfg);
+      print_victim_result(args, suite, run, num_threads, *loaded, cfg);
     }
     std::printf("result digest: %s\n", hex64(*digest).c_str());
     if (!args.loo && !args.out.empty()) {

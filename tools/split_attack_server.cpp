@@ -57,10 +57,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,20 +72,14 @@
 #include "core/cross_validation.hpp"
 #include "core/pipeline.hpp"
 #include "core/resilience.hpp"
-#include "lefdef/lefdef.hpp"
-#include "splitmfg/split.hpp"
-#include "synth/synth.hpp"
 
 namespace {
 
 using namespace repro;
 
 struct Args {
-  std::string lef;
-  std::vector<std::string> train;
-  std::string victim;
+  core::SuiteSource source;
   std::vector<int> splits;  ///< layers to serve; empty = {8}
-  bool demo = false;
   int port = 0;
   int threads = 4;
   int cache_mb = 256;
@@ -103,10 +94,7 @@ struct Args {
 Args parse_args(int argc, char** argv) {
   Args a;
   common::FlagTable flags(argv[0]);
-  flags.flag("--demo", &a.demo)
-      .text("--lef", "FILE", &a.lef)
-      .text("--train", "FILE", &a.train)
-      .text("--victim", "FILE", &a.victim)
+  a.source.bind(flags)
       .integer("--split", "N", &a.splits, 1, 64)
       .integer("--port", "P", &a.port, 0, 65535)
       .integer("--threads", "N", &a.threads, 1, 256)
@@ -118,89 +106,11 @@ Args parse_args(int argc, char** argv) {
       .number("--read-deadline-s", "S", &a.read_deadline_s, 0.01, 3600)
       .integer("--max-request-mb", "N", &a.max_request_mb, 1, 1024);
   flags.parse_or_exit(argc, argv);
-  if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    flags.fail("file mode needs --lef, --train and --victim");
+  if (const std::string why = a.source.usage_error(); !why.empty()) {
+    flags.fail(why);
   }
   if (a.splits.empty()) a.splits.push_back(8);
   return a;
-}
-
-/// Builds the per-layer LOO suites. Challenge order is [victim,
-/// training...] — the exact order `split_attack --loo` uses — so fold
-/// indices (and therefore result digests) line up between the server
-/// and the batch CLI.
-bool build_suites(const Args& args,
-                  std::map<int, core::ChallengeSuite>* suites) {
-  if (args.demo) {
-    const double scale = synth::scale_from_env();
-    std::fprintf(stderr, "[demo] generating the built-in suite (scale "
-                 "%.2f)...\n", scale);
-    const auto designs = synth::generate_benchmark_suite(scale);
-    for (const int split : args.splits) {
-      suites->emplace(split, core::make_suite(designs, split));
-    }
-    return true;
-  }
-
-  std::ifstream lef_in(args.lef);
-  if (!lef_in) {
-    std::fprintf(stderr, "error: cannot open %s\n", args.lef.c_str());
-    return false;
-  }
-  common::DiagnosticSink lef_sink(args.lef);
-  common::StatusOr<lefdef::LefContents> lef =
-      lefdef::read_lef(lef_in, lef_sink);
-  if (!lef.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", args.lef.c_str(),
-                 lef.status().to_string().c_str());
-    lef_sink.print(std::cerr);
-    return false;
-  }
-  const auto lib = std::make_shared<const netlist::Library>(lef->lib);
-  for (const int split : args.splits) {
-    if (split > lef->tech.num_via_layers()) {
-      std::fprintf(stderr,
-                   "error: --split %d outside the technology's via stack "
-                   "[1, %d]\n",
-                   split, lef->tech.num_via_layers());
-      return false;
-    }
-    core::DefLoadOptions load_opt;
-    load_opt.split_layer = split;
-    // A server with a missing training design would silently serve a
-    // different suite (different run keys, no digest parity with the
-    // batch CLI over the same files) — fail fast instead.
-    load_opt.strict = true;
-
-    common::DiagnosticSink sink;
-    core::DefBatch batch =
-        core::load_challenges_from_defs(args.train, *lef, load_opt, sink);
-    if (batch.num_skipped > 0) {
-      sink.print(std::cerr);
-      std::fprintf(stderr,
-                   "error: %d training design(s) failed to load\n",
-                   batch.num_skipped);
-      return false;
-    }
-    common::DiagnosticSink victim_sink;
-    common::StatusOr<splitmfg::SplitChallenge> v =
-        core::load_challenge_from_def(args.victim, *lef, lib, load_opt,
-                                      victim_sink);
-    if (!v.ok()) {
-      std::fprintf(stderr, "error: victim %s: %s\n", args.victim.c_str(),
-                   v.status().to_string().c_str());
-      victim_sink.print(std::cerr);
-      return false;
-    }
-    std::vector<splitmfg::SplitChallenge> all;
-    all.reserve(args.train.size() + 1);
-    all.push_back(std::move(v).value());
-    for (splitmfg::SplitChallenge& ch : batch.take_loaded()) {
-      all.push_back(std::move(ch));
-    }
-    suites->emplace(split, core::ChallengeSuite(std::move(all)));
-  }
-  return true;
 }
 
 int run(const Args& args) {
@@ -212,9 +122,17 @@ int run(const Args& args) {
   // output deterministic, and nothing here wants wall-clock spans.
   common::obs::set_enabled(true);
 
-  std::map<int, core::ChallengeSuite> suites;
-  if (!build_suites(args, &suites)) return 1;
-  for (const auto& [layer, suite] : suites) {
+  // One suite per layer, in split_attack --loo's [victim, training...]
+  // order, so fold indices and digests line up with the batch CLI. A
+  // server missing a training design would silently serve a different
+  // suite, so file mode always loads strictly.
+  common::StatusOr<core::LoadedSuites> loaded = core::load_suites(
+      args.source, args.splits, {.strict = true}, std::cerr);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.status().message().c_str());
+    return 1;
+  }
+  for (const auto& [layer, suite] : loaded->suites) {
     std::fprintf(stderr, "layer %d: %zu designs (%zu folds)\n", layer,
                  suite.size(), suite.size());
   }
@@ -225,7 +143,7 @@ int run(const Args& args) {
   sopt.default_threshold = args.threshold;
   sopt.budget = budget.unlimited() ? nullptr : &budget;
   sopt.cancel = &cancel;
-  auto svc = core::AttackService::create(std::move(suites), sopt);
+  auto svc = core::AttackService::create(std::move(loaded->suites), sopt);
   if (!svc.ok()) {
     std::fprintf(stderr, "error: %s\n", svc.status().to_string().c_str());
     return 1;

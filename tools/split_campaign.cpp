@@ -63,7 +63,7 @@
 #include "core/campaign.hpp"
 #include "core/campaign_obs.hpp"
 #include "core/campaign_remote.hpp"
-#include "synth/synth.hpp"
+#include "core/pipeline.hpp"
 
 namespace {
 
@@ -78,10 +78,7 @@ struct Injection {
 };
 
 struct Args {
-  std::string lef;
-  std::vector<std::string> train;
-  std::string victim;
-  bool demo = false;
+  core::SuiteSource source;
   std::vector<int> layers;
   std::string campaign_dir;
   bool resume = false;
@@ -150,10 +147,7 @@ Args parse_args(int argc, char** argv) {
     a.injections[v.substr(0, eq)] = inj;
     return std::string();
   };
-  flags.flag("--demo", &a.demo)
-      .text("--lef", "FILE", &a.lef)
-      .text("--train", "FILE", &a.train)
-      .text("--victim", "FILE", &a.victim)
+  a.source.bind(flags)
       .custom("--layers", "L1,L2,...", layers)
       .text("--campaign-dir", "DIR", &a.campaign_dir)
       .flag("--resume", &a.resume)
@@ -186,8 +180,8 @@ Args parse_args(int argc, char** argv) {
       .flag("--no-local-fallback", &a.no_local_fallback)
       .integer("--jitter-seed", "N", &a.jitter_seed, 0, 1000000000);
   flags.parse_or_exit(argc, argv);
-  if (!a.demo && (a.lef.empty() || a.train.empty() || a.victim.empty())) {
-    flags.fail("file mode needs --lef, --train and --victim");
+  if (const std::string why = a.source.usage_error(); !why.empty()) {
+    flags.fail(why);
   }
   if (a.layers.empty()) flags.fail("--layers is required");
   if (a.campaign_dir.empty()) flags.fail("--campaign-dir is required");
@@ -255,14 +249,10 @@ int run(int argc, char** argv) {
   common::CancelToken& cancel = common::global_cancel_token();
 
   // The LOO suite size fixes the fold count per layer: one held-out
-  // design per fold. Demo mode counts the presets the generated suite
-  // is built from (one design each, at any REPRO_SCALE); file mode
-  // counts the victim plus every training DEF — a DEF the workers end
-  // up skipping would shrink their suite and shift fold indices, so
-  // workers run --strict and fail the shard loudly instead.
-  const std::int64_t folds =
-      args.demo ? static_cast<std::int64_t>(synth::preset_names().size())
-                : 1 + static_cast<std::int64_t>(args.train.size());
+  // design per fold. A training DEF the workers skipped would shrink
+  // their suite and shift fold indices, so file-mode workers run
+  // --strict and fail the shard loudly instead.
+  const std::int64_t folds = args.source.num_designs();
 
   const std::string worker_bin =
       args.worker_bin.empty() ? default_worker_bin(argv[0]) : args.worker_bin;
@@ -290,16 +280,9 @@ int run(int argc, char** argv) {
           int attempt) {
         common::SpawnOptions w;
         w.argv = {worker_bin};
-        if (args.demo) {
-          w.argv.push_back("--demo");
-        } else {
-          w.argv.insert(w.argv.end(), {"--lef", args.lef});
-          for (const std::string& t : args.train) {
-            w.argv.insert(w.argv.end(), {"--train", t});
-          }
-          w.argv.insert(w.argv.end(), {"--victim", args.victim});
-          w.argv.push_back("--strict");
-        }
+        const std::vector<std::string> source = args.source.worker_argv();
+        w.argv.insert(w.argv.end(), source.begin(), source.end());
+        if (!args.source.demo) w.argv.push_back("--strict");
         w.argv.insert(
             w.argv.end(),
             {"--loo", "--fold", std::to_string(spec.fold), "--split",
