@@ -25,19 +25,18 @@ double now_seconds() {
 
 namespace detail {
 
-void push_top(std::vector<Candidate>& top, int k, const Candidate& c) {
-  // Heap ordered by candidate_before, so the front is the worst kept
-  // candidate. Because candidate_before is a strict total order (ties on
-  // p break by distance, then id), the kept set is exactly the first K
-  // candidates in display order, whatever the insertion order was.
-  if (static_cast<int>(top.size()) < k) {
-    top.push_back(c);
-    std::push_heap(top.begin(), top.end(), candidate_before);
-  } else if (!top.empty() && candidate_before(c, top.front())) {
-    std::pop_heap(top.begin(), top.end(), candidate_before);
-    top.back() = c;
-    std::push_heap(top.begin(), top.end(), candidate_before);
+std::vector<Candidate> select_top(std::span<Candidate> scored, int k) {
+  const std::size_t keep =
+      std::min(scored.size(), static_cast<std::size_t>(std::max(0, k)));
+  const auto mid = scored.begin() + static_cast<std::ptrdiff_t>(keep);
+  // candidate_before is a strict total order, so the first `keep` after
+  // nth_element are exactly the first `keep` in display order, whatever
+  // order the candidates were scored in.
+  if (keep > 0 && keep < scored.size()) {
+    std::nth_element(scored.begin(), mid, scored.end(), candidate_before);
   }
+  std::sort(scored.begin(), mid, candidate_before);
+  return std::vector<Candidate>(scored.begin(), mid);
 }
 
 }  // namespace detail
@@ -215,7 +214,7 @@ AttackResult AttackEngine::test(const TrainedModel& model,
 
   // Scoring is data-parallel per target: each worker evaluates one
   // target's candidate list into that target's VpinResult only (own
-  // histogram, own top-K heap), so workers never share mutable state.
+  // histogram, own top-K), so workers never share mutable state.
   // Candidate probabilities come from the flattened ensemble in batches.
   //
   // Each admissible pair is scored once per *tested* endpoint. Operand
@@ -233,40 +232,53 @@ AttackResult AttackEngine::test(const TrainedModel& model,
   if (model.config.use_candidate_index) index.emplace(challenge);
   std::vector<std::size_t> scanned(targets.size(), 0);
 
+  // One set of buffers per pool worker, reused across the targets that
+  // worker scores. Workers index them by current_worker_id(), which is
+  // stable and unique per pool thread; threads outside the pool report
+  // 0, and each of them makes its own call, so there is no sharing.
+  struct PendingCandidate {
+    splitmfg::VpinId id;
+    float d;
+    bool matched;
+  };
+  struct Scratch {
+    std::vector<double> rows;
+    std::vector<PendingCandidate> pending;
+    std::vector<double> probs;
+    std::vector<splitmfg::VpinId> cand;
+    std::vector<Candidate> scored;  ///< every candidate of the target
+  };
+  std::vector<Scratch> arenas(
+      static_cast<std::size_t>(common::global_pool().num_threads()));
+
   common::parallel_for(
       static_cast<std::int64_t>(targets.size()), [&](std::int64_t ti) {
         const int self = targets[static_cast<std::size_t>(ti)];
         VpinResult& r = per_vpin[static_cast<std::size_t>(self)];
         const splitmfg::Vpin& vi = challenge.vpin(self);
-
-        struct PendingCandidate {
-          splitmfg::VpinId id;
-          float d;
-          bool matched;
-        };
-        std::vector<double> rows;
-        rows.reserve(static_cast<std::size_t>(kBatch * nfeat));
-        std::vector<PendingCandidate> pending;
-        pending.reserve(kBatch);
-        std::vector<double> probs(kBatch);
+        Scratch& s =
+            arenas[static_cast<std::size_t>(common::current_worker_id())];
+        s.rows.reserve(static_cast<std::size_t>(kBatch * nfeat));
+        s.pending.reserve(kBatch);
+        s.probs.resize(kBatch);
+        s.scored.clear();
 
         const auto flush = [&] {
-          const int m = static_cast<int>(pending.size());
-          forest.predict_batch(rows.data(), m, nfeat, probs.data());
+          const int m = static_cast<int>(s.pending.size());
+          forest.predict_batch(s.rows.data(), m, nfeat, s.probs.data());
           for (int k = 0; k < m; ++k) {
-            const PendingCandidate& c = pending[static_cast<std::size_t>(k)];
-            const double p = probs[static_cast<std::size_t>(k)];
+            const PendingCandidate& c = s.pending[static_cast<std::size_t>(k)];
+            const double p = s.probs[static_cast<std::size_t>(k)];
             ++r.num_evaluated;
             ++r.hist[static_cast<std::size_t>(bin_of(p))];
-            detail::push_top(r.top, model.config.top_k,
-                             Candidate{c.id, static_cast<float>(p), c.d});
+            s.scored.push_back({c.id, static_cast<float>(p), c.d});
             if (c.matched && p > r.p_true) {
               r.p_true = static_cast<float>(p);
               r.d_true = c.d;
             }
           }
-          rows.clear();
-          pending.clear();
+          s.rows.clear();
+          s.pending.clear();
         };
 
         const auto enqueue = [&](int j) {
@@ -275,24 +287,20 @@ AttackResult AttackEngine::test(const TrainedModel& model,
           const splitmfg::Vpin& b = self < j ? vj : vi;
           const auto full = pair_features(a, b, scale);
           for (int k = 0; k < nfeat; ++k) {
-            rows.push_back(
+            s.rows.push_back(
                 full[static_cast<std::size_t>(model.feat_idx[k])]);
           }
-          // Candidate distances stay in raw DBU regardless of feature
-          // scaling (the proximity attack reasons about physical distance).
-          const auto d = static_cast<float>(
-              std::abs(static_cast<double>(vi.pos.x - vj.pos.x)) +
-              std::abs(static_cast<double>(vi.pos.y - vj.pos.y)));
-          pending.push_back({static_cast<splitmfg::VpinId>(j), d,
-                             challenge.is_match(self, j)});
-          if (static_cast<int>(pending.size()) == kBatch) flush();
+          s.pending.push_back({static_cast<splitmfg::VpinId>(j),
+                               detail::candidate_distance(vi, vj),
+                               challenge.is_match(self, j)});
+          if (static_cast<int>(s.pending.size()) == kBatch) flush();
         };
 
         if (index) {
-          std::vector<splitmfg::VpinId> cand;
+          s.cand.clear();
           scanned[static_cast<std::size_t>(ti)] =
-              index->collect(self, model.filter, cand);
-          for (splitmfg::VpinId j : cand) enqueue(j);
+              index->collect(self, model.filter, s.cand);
+          for (splitmfg::VpinId j : s.cand) enqueue(j);
         } else {
           for (int j = 0; j < n; ++j) {
             if (j == self) continue;
@@ -305,9 +313,9 @@ AttackResult AttackEngine::test(const TrainedModel& model,
         }
         flush();
 
-        // Final presentation order; detail::push_top kept exactly the
-        // first top_k candidates under this same order.
-        std::sort(r.top.begin(), r.top.end(), detail::candidate_before);
+        // The first top_k candidates in display order, sorted, at their
+        // exact size.
+        r.top = detail::select_top(s.scored, model.config.top_k);
         // Live progress for the cross-process telemetry heartbeat: a
         // commutative per-target bump, so the total stays thread-count
         // invariant while a running shard's count advances in real time

@@ -10,9 +10,12 @@
 //   * a bounded top-K candidate list (for the proximity attack, SSIII-H).
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,20 +96,42 @@ inline int bin_index(double p, int bins) {
   return static_cast<int>(p * bins);
 }
 
+/// A candidate's distance: |dx| + |dy| between the two v-pins in raw
+/// DBU, whatever the feature scaling (the proximity attack reasons about
+/// physical distance).
+inline float candidate_distance(const splitmfg::Vpin& a,
+                                const splitmfg::Vpin& b) {
+  return static_cast<float>(std::abs(static_cast<double>(a.pos.x - b.pos.x)) +
+                            std::abs(static_cast<double>(a.pos.y - b.pos.y)));
+}
+
+/// The display order's (p desc, d asc) part as one integer:
+/// ~bits(p) in the high word, bits(d) in the low word. For floats that
+/// are finite with a clear sign bit, the bit pattern orders like the
+/// value, so the key orders like the two fields. Scoring only produces
+/// such values: d = |dx| + |dy|, and p averages leaf frequencies of
+/// counts that load_bagging checks are finite, >= 0 and not -0.0.
+inline std::uint64_t display_key(const Candidate& c) {
+  return (std::uint64_t{~std::bit_cast<std::uint32_t>(c.p)} << 32) |
+         std::bit_cast<std::uint32_t>(c.d);
+}
+
 /// Strict total "display order" on candidates: higher p first, ties by
-/// nearer distance, then lower id. Both the top-K maintenance and the
-/// final per-target sort use this order, so the selected top-K set (not
-/// just its final sorting) is independent of evaluation order — the
-/// property that makes parallel and serial scoring bit-identical.
+/// nearer distance, then lower id. Every ranked candidate list (the
+/// engine's top-K, two-level pruning's, PA validation's) is in this
+/// order, and the top-K set is its first K members, so the set (not just
+/// its final sorting) is independent of evaluation order — the property
+/// that makes parallel and serial scoring bit-identical.
 inline bool candidate_before(const Candidate& a, const Candidate& b) {
-  if (a.p != b.p) return a.p > b.p;
-  if (a.d != b.d) return a.d < b.d;
+  const std::uint64_t ka = display_key(a), kb = display_key(b);
+  if (ka != kb) return ka < kb;
   return a.id < b.id;
 }
 
-/// Maintains the top-K candidates under candidate_before using a bounded
-/// heap whose front is the currently-worst kept candidate.
-void push_top(std::vector<Candidate>& top, int k, const Candidate& c);
+/// The first `k` candidates of `scored` in display order, sorted, in a
+/// vector of exactly that size; k <= 0 keeps nothing. Reorders `scored`:
+/// nth_element selects the set, and only the kept part is sorted.
+std::vector<Candidate> select_top(std::span<Candidate> scored, int k);
 
 }  // namespace detail
 

@@ -169,18 +169,11 @@ PAOutcome validated_proximity_attack(
       for (splitmfg::VpinId w : cand) {
         const auto p = vmodel.predict_pair(vp, ch.vpin(w), scale);
         if (!p) continue;
-        const float d = static_cast<float>(
-            std::abs(static_cast<double>(vp.pos.x - ch.vpin(w).pos.x)) +
-            std::abs(static_cast<double>(vp.pos.y - ch.vpin(w).pos.y)));
         top.push_back(Candidate{static_cast<splitmfg::VpinId>(w),
-                                static_cast<float>(*p), d});
+                                static_cast<float>(*p),
+                                detail::candidate_distance(vp, ch.vpin(w))});
       }
-      std::sort(top.begin(), top.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.p != b.p) return a.p > b.p;
-                  if (a.d != b.d) return a.d < b.d;
-                  return a.id < b.id;
-                });
+      std::sort(top.begin(), top.end(), detail::candidate_before);
       for (std::size_t fi = 0; fi < opt.fractions.size(); ++fi) {
         const int k = std::max(
             1, static_cast<int>(std::lround(opt.fractions[fi] * n)));

@@ -1,7 +1,8 @@
 #include "core/resilience.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -77,35 +78,79 @@ bool get_config(BinaryReader& r, AttackConfig& c) {
   return true;
 }
 
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPrime^i mod 2^64 for i < 256.
+constexpr auto kPrimePowers = [] {
+  std::array<std::uint64_t, 256> pw{};
+  pw[0] = 1;
+  for (std::size_t i = 1; i < pw.size(); ++i) pw[i] = pw[i - 1] * kFnvPrime;
+  return pw;
+}();
+
+/// kFnvPrime^z mod 2^64: a table entry for the low 8 bits of z, square
+/// and multiply for the rest, so O(log z) multiplies for any z.
+std::uint64_t prime_power(std::uint64_t z) {
+  std::uint64_t out = kPrimePowers[z & 0xff];
+  std::uint64_t base = kPrimePowers[255] * kFnvPrime;  // kFnvPrime^256
+  for (z >>= 8; z != 0; z >>= 1) {
+    if (z & 1) out *= base;
+    base *= base;
+  }
+  return out;
+}
+
+/// FNV-1a over 8-byte little-endian fields, at the cost of their
+/// non-zero bytes. A zero byte leaves the xor step a no-op and only
+/// multiplies the hash by the prime, and those multiplies commute with
+/// each other, so zero bytes are counted and applied as one multiply by
+/// prime^count before the next non-zero byte. A value then costs one
+/// multiply per byte up to its highest non-zero byte, and a run of zero
+/// fields costs one multiply in all.
+class ResultHasher {
+ public:
+  void mix(std::uint64_t v) {
+    if (v == 0) {
+      zeros_ += 8;
+      return;
+    }
+    if (zeros_ != 0) {
+      h_ *= prime_power(zeros_);
+      zeros_ = 0;
+    }
+    const int bytes = (71 - std::countl_zero(v)) / 8;  // up to the top one
+    for (int b = 0; b < bytes; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xff;
+      h_ *= kFnvPrime;
+    }
+    zeros_ = static_cast<std::uint64_t>(8 - bytes);
+  }
+
+  std::uint64_t finish() const { return h_ * prime_power(zeros_); }
+
+ private:
+  std::uint64_t h_ = kFnvOffset;
+  std::uint64_t zeros_ = 0;  ///< zero bytes mixed but not yet multiplied in
+};
+
 }  // namespace
 
 std::uint64_t result_digest(const AttackResult& res) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto mix_float = [&](float f) {
-    std::uint32_t bits;
-    static_assert(sizeof bits == sizeof f);
-    std::memcpy(&bits, &f, sizeof bits);
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(res.num_vpins()));
+  ResultHasher h;
+  h.mix(static_cast<std::uint64_t>(res.num_vpins()));
   for (const VpinResult& r : res.per_vpin()) {
-    mix(static_cast<std::uint64_t>(r.num_evaluated));
-    mix_float(r.p_true);
-    mix_float(r.d_true);
-    for (std::uint32_t c : r.hist) mix(c);
+    h.mix(static_cast<std::uint64_t>(r.num_evaluated));
+    h.mix(std::bit_cast<std::uint32_t>(r.p_true));
+    h.mix(std::bit_cast<std::uint32_t>(r.d_true));
+    for (std::uint32_t c : r.hist) h.mix(c);
     for (const Candidate& c : r.top) {
-      mix(static_cast<std::uint64_t>(c.id));
-      mix_float(c.p);
-      mix_float(c.d);
+      h.mix(static_cast<std::uint64_t>(c.id));
+      h.mix(std::bit_cast<std::uint32_t>(c.p));
+      h.mix(std::bit_cast<std::uint32_t>(c.d));
     }
   }
-  return h;
+  return h.finish();
 }
 
 std::uint64_t combine_digests(std::span<const std::uint64_t> digests) {
@@ -272,6 +317,9 @@ StatusOr<TrainedModel> load_model(const std::string& raw) {
   // every index, size and radius the engine uses unchecked must be sane.
   if (model.config.hist_bins < 1) {
     return Status::DataLoss("model artifact: no histogram bins");
+  }
+  if (model.config.top_k < 0) {
+    return Status::DataLoss("model artifact: negative top-K");
   }
   for (const int f : model.feat_idx) {
     if (f < 0 || f >= kNumFeatures) {

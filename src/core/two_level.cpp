@@ -37,8 +37,11 @@ TwoLevelResult two_level_attack(
   }
   ml::Dataset l2_data(std::move(names));
 
+  // Every feature row uses the level-1 model's distance scale, as the
+  // engine does: the level-2 model trains and scores on the same rows.
   for (const splitmfg::SplitChallenge* ch : training) {
     const AttackResult res = AttackEngine::test(l1, *ch);
+    const double scale = l1.scale_for(*ch);
     for (int v = 0; v < ch->num_vpins(); ++v) {
       const splitmfg::Vpin& vp = ch->vpin(v);
       // Positives: every admissible matching pair, once.
@@ -46,7 +49,7 @@ TwoLevelResult two_level_attack(
         if (m <= vp.id) continue;
         const splitmfg::Vpin& w = ch->vpin(m);
         if (!l1.filter.admits(vp, w)) continue;
-        l2_data.add_row(project(pair_features(vp, w), idx), 1);
+        l2_data.add_row(project(pair_features(vp, w, scale), idx), 1);
       }
       // One hard negative drawn from the Level-1 LoC.
       const VpinResult& r = res.per_vpin()[static_cast<std::size_t>(v)];
@@ -59,7 +62,7 @@ TwoLevelResult two_level_attack(
         std::uniform_int_distribution<std::size_t> pick(
             0, loc_negatives.size() - 1);
         const splitmfg::Vpin& w = ch->vpin(loc_negatives[pick(rng)]);
-        l2_data.add_row(project(pair_features(vp, w), idx), 0);
+        l2_data.add_row(project(pair_features(vp, w, scale), idx), 0);
       }
     }
   }
@@ -96,9 +99,8 @@ TwoLevelResult two_level_attack(
     VpinResult& r = res.mutable_per_vpin()[static_cast<std::size_t>(self)];
     ++r.num_evaluated;
     ++r.hist[static_cast<std::size_t>(bin_of(p))];
-    Candidate c{static_cast<splitmfg::VpinId>(other), static_cast<float>(p),
-                d};
-    r.top.push_back(c);  // sorted later
+    r.top.push_back({static_cast<splitmfg::VpinId>(other),
+                     static_cast<float>(p), d});  // selected later
     if (matched && p > r.p_true) {
       r.p_true = static_cast<float>(p);
       r.d_true = d;
@@ -108,6 +110,7 @@ TwoLevelResult two_level_attack(
   // Candidate pairs come from the spatial index (each unordered admitted
   // pair once, via the ascending-id contract: only j > i is kept).
   const int n = target.num_vpins();
+  const double scale = l1.scale_for(target);
   const CandidateIndex index(target);
   std::vector<double> x(idx.size());
   std::vector<splitmfg::VpinId> cand;
@@ -118,12 +121,12 @@ TwoLevelResult two_level_attack(
     for (splitmfg::VpinId j : cand) {
       if (j <= i) continue;  // unordered pairs once
       const splitmfg::Vpin& vj = target.vpin(j);
-      const auto full = pair_features(vi, vj);
+      const auto full = pair_features(vi, vj, scale);
       for (std::size_t k = 0; k < idx.size(); ++k) {
         x[k] = full[static_cast<std::size_t>(idx[k])];
       }
       const double p1 = l1.classifier.predict_proba(x);
-      const auto d = static_cast<float>(full[kManhattanVpin]);
+      const float d = detail::candidate_distance(vi, vj);
       const bool matched = target.is_match(i, j);
       record(out.level1, i, j, p1, d, matched);
       record(out.level1, j, i, p1, d, matched);
@@ -137,15 +140,7 @@ TwoLevelResult two_level_attack(
 
   for (AttackResult* res : {&out.level1, &out.pruned}) {
     for (VpinResult& r : res->mutable_per_vpin()) {
-      std::sort(r.top.begin(), r.top.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.p != b.p) return a.p > b.p;
-                  if (a.d != b.d) return a.d < b.d;
-                  return a.id < b.id;
-                });
-      if (static_cast<int>(r.top.size()) > config.top_k) {
-        r.top.resize(static_cast<std::size_t>(config.top_k));
-      }
+      r.top = detail::select_top(r.top, config.top_k);
     }
     res->finalize();
   }

@@ -1,5 +1,6 @@
 #include "ml/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -70,9 +71,20 @@ StatusOr<BaggingClassifier> load_bagging(const std::string& raw) {
     // Children must also lie after their parent (the trainer appends a
     // node before its children): ids then rise along every walk, so each
     // walk reaches a leaf.
+    //
+    // Class counts become leaf probabilities pos / (pos + neg), which
+    // scoring needs finite, >= 0 and not -0.0 (the candidate display
+    // order compares p by bit pattern). Trained counts start at +0.0 and
+    // add 1.0, so they always pass.
+    const auto count_ok = [](double c) {
+      return std::isfinite(c) && !std::signbit(c);
+    };
     const int limit = static_cast<int>(num_nodes);
     for (int i = 0; i < limit; ++i) {
       const TreeNode& n = nodes[static_cast<std::size_t>(i)];
+      if (!count_ok(n.pos) || !count_ok(n.neg)) {
+        return Status::DataLoss("model artifact: bad class count");
+      }
       if (n.is_leaf()) continue;
       if (n.left <= i || n.left >= limit || n.right <= i || n.right >= limit) {
         return Status::DataLoss("model artifact: child index out of range");

@@ -477,12 +477,12 @@ TEST(FlatForest, EmptyForestPredictsHalf) {
   EXPECT_DOUBLE_EQ(out[1], 0.5);
 }
 
-// --- push_top regression --------------------------------------------------
+// --- top-K selection ------------------------------------------------------
 
-TEST(PushTop, TopKSetIsInsertionOrderIndependent) {
+TEST(TopK, TopKSetIsInsertionOrderIndependent) {
   // Many candidates with deliberately colliding p values: the kept set
   // must be the first K under (p desc, d asc, id asc) no matter the
-  // insertion order — the property the parallel scorer relies on.
+  // scoring order — the property the parallel scorer relies on.
   std::vector<core::Candidate> all;
   for (int i = 0; i < 200; ++i) {
     core::Candidate c;
@@ -499,10 +499,11 @@ TEST(PushTop, TopKSetIsInsertionOrderIndependent) {
   std::mt19937_64 rng(7);
   for (int round = 0; round < 20; ++round) {
     std::shuffle(all.begin(), all.end(), rng);
-    std::vector<core::Candidate> top;
-    for (const core::Candidate& c : all) core::detail::push_top(top, k, c);
-    std::sort(top.begin(), top.end(), core::detail::candidate_before);
+    std::vector<core::Candidate> scored = all;
+    const std::vector<core::Candidate> top =
+        core::detail::select_top(scored, k);
     ASSERT_EQ(top.size(), expected.size());
+    EXPECT_EQ(top.capacity(), top.size()) << "round " << round;
     for (int i = 0; i < k; ++i) {
       EXPECT_EQ(top[static_cast<std::size_t>(i)].id,
                 expected[static_cast<std::size_t>(i)].id)
@@ -511,13 +512,68 @@ TEST(PushTop, TopKSetIsInsertionOrderIndependent) {
   }
 }
 
-TEST(PushTop, KeepsEverythingBelowCapacity) {
-  std::vector<core::Candidate> top;
+TEST(TopK, KeepsEverythingBelowCapacity) {
+  std::vector<core::Candidate> scored;
   for (int i = 0; i < 5; ++i) {
-    core::detail::push_top(
-        top, 8, core::Candidate{static_cast<splitmfg::VpinId>(i), 0.5f, 1.0f});
+    scored.push_back(
+        core::Candidate{static_cast<splitmfg::VpinId>(i), 0.5f, 1.0f});
   }
-  EXPECT_EQ(top.size(), 5u);
+  EXPECT_EQ(core::detail::select_top(scored, 8).size(), 5u);
+  // A non-positive K keeps nothing; it never means "keep everything".
+  EXPECT_TRUE(core::detail::select_top(scored, 0).empty());
+  EXPECT_TRUE(core::detail::select_top(scored, -1).empty());
+}
+
+/// The display order spelled field by field: the reference the packed
+/// key of candidate_before must reproduce.
+bool fieldwise_before(const core::Candidate& a, const core::Candidate& b) {
+  if (a.p != b.p) return a.p > b.p;
+  if (a.d != b.d) return a.d < b.d;
+  return a.id < b.id;
+}
+
+TEST(TopK, PackedKeyOrdersLikeTheFieldwiseComparison) {
+  // p as the forest makes it: the mean of ten leaf probabilities
+  // pos / (pos + neg) over small counts, so p values tie often and 0 and
+  // 1 occur. Distances tie too; ids are distinct.
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<int> count(0, 2);
+  std::uniform_int_distribution<int> dist(0, 40);
+  std::vector<core::Candidate> all;
+  for (int i = 0; i < 4000; ++i) {
+    double sum = 0;
+    const bool extreme = i % 50 == 0;  // all-pure leaves: p of 0 or 1
+    for (int t = 0; t < 10; ++t) {
+      const double pos = extreme ? (i % 100 == 0 ? 0 : 3) : count(rng);
+      const double neg = extreme ? (i % 100 == 0 ? 4 : 0) : count(rng);
+      sum += pos + neg > 0 ? pos / (pos + neg) : 0.5;
+    }
+    all.push_back(core::Candidate{static_cast<splitmfg::VpinId>(i),
+                                  static_cast<float>(sum / 10),
+                                  static_cast<float>(800 * dist(rng))});
+  }
+  std::shuffle(all.begin(), all.end(), rng);
+  std::vector<core::Candidate> by_key = all, by_field = all;
+  std::sort(by_key.begin(), by_key.end(), core::detail::candidate_before);
+  std::sort(by_field.begin(), by_field.end(), fieldwise_before);
+  ASSERT_EQ(by_key.size(), by_field.size());
+  for (std::size_t i = 0; i < by_key.size(); ++i) {
+    ASSERT_EQ(by_key[i].id, by_field[i].id) << "rank " << i;
+  }
+  // The select step on the same input keeps the field-wise first 512.
+  std::vector<core::Candidate> scored = all;
+  const std::vector<core::Candidate> top =
+      core::detail::select_top(scored, 512);
+  ASSERT_EQ(top.size(), 512u);
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    ASSERT_EQ(top[i].id, by_field[i].id) << "rank " << i;
+  }
+  // The inputs did exercise the ties and both ends of [0, 1].
+  EXPECT_EQ(by_key.front().p, 1.0f);
+  EXPECT_EQ(by_key.back().p, 0.0f);
+  std::set<float> distinct_p;
+  for (const core::Candidate& c : all) distinct_p.insert(c.p);
+  EXPECT_LT(distinct_p.size(), all.size() / 4);
 }
 
 // --- attack-level invariance ----------------------------------------------
@@ -538,28 +594,7 @@ std::string loc_csv(const splitmfg::SplitChallenge& ch,
   return os.str();
 }
 
-bool same_result(const core::AttackResult& a, const core::AttackResult& b) {
-  if (a.num_vpins() != b.num_vpins()) return false;
-  for (int v = 0; v < a.num_vpins(); ++v) {
-    const core::VpinResult& ra = a.per_vpin()[static_cast<std::size_t>(v)];
-    const core::VpinResult& rb = b.per_vpin()[static_cast<std::size_t>(v)];
-    if (ra.tested != rb.tested || ra.has_match != rb.has_match ||
-        ra.num_evaluated != rb.num_evaluated || ra.hist != rb.hist ||
-        std::memcmp(&ra.p_true, &rb.p_true, sizeof ra.p_true) != 0 ||
-        std::memcmp(&ra.d_true, &rb.d_true, sizeof ra.d_true) != 0 ||
-        ra.top.size() != rb.top.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < ra.top.size(); ++i) {
-      if (ra.top[i].id != rb.top[i].id ||
-          std::memcmp(&ra.top[i].p, &rb.top[i].p, sizeof(float)) != 0 ||
-          std::memcmp(&ra.top[i].d, &rb.top[i].d, sizeof(float)) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
+using repro::testing::same_result;
 
 class AttackThreadInvariance : public ::testing::Test {
  protected:

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,28 +66,7 @@ bool same_model(const ml::BaggingClassifier& a,
   return true;
 }
 
-bool same_result(const core::AttackResult& a, const core::AttackResult& b) {
-  if (a.num_vpins() != b.num_vpins()) return false;
-  for (int v = 0; v < a.num_vpins(); ++v) {
-    const core::VpinResult& ra = a.per_vpin()[static_cast<std::size_t>(v)];
-    const core::VpinResult& rb = b.per_vpin()[static_cast<std::size_t>(v)];
-    if (ra.tested != rb.tested || ra.has_match != rb.has_match ||
-        ra.num_evaluated != rb.num_evaluated || ra.hist != rb.hist ||
-        std::memcmp(&ra.p_true, &rb.p_true, sizeof ra.p_true) != 0 ||
-        std::memcmp(&ra.d_true, &rb.d_true, sizeof ra.d_true) != 0 ||
-        ra.top.size() != rb.top.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < ra.top.size(); ++i) {
-      if (ra.top[i].id != rb.top[i].id ||
-          std::memcmp(&ra.top[i].p, &rb.top[i].p, sizeof(float)) != 0 ||
-          std::memcmp(&ra.top[i].d, &rb.top[i].d, sizeof(float)) != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
+using repro::testing::same_result;
 
 ml::Dataset tiny_dataset() {
   ml::Dataset data({"a", "b"});
@@ -151,6 +133,44 @@ TEST(MlSerialize, ChildAtOrBeforeItsParentIsDataLoss) {
         ml::save_bagging(ml::BaggingClassifier::from_trees(std::move(trees))));
     EXPECT_EQ(back.status().code(), common::StatusCode::kDataLoss)
         << (left ? "left" : "right");
+  }
+}
+
+TEST(MlSerialize, NegativeOrNonFiniteLeafCountIsDataLoss) {
+  // Leaf counts become p = pos / (pos + neg): -1 / 2 scores p = -1, +inf
+  // scores NaN, and -0.0 scores -0.0, which the display order's packed
+  // key would rank apart from +0.0.
+  const ml::Dataset data = tiny_dataset();
+  const auto clf = ml::BaggingClassifier::train(
+      data, ml::BaggingOptions::reptree_bagging(1));
+  std::vector<ml::TreeNode> nodes;
+  for (int i = 0; i < clf.tree(0).num_nodes(); ++i) {
+    nodes.push_back(clf.tree(0).node(i));
+  }
+  const auto leaf = std::find_if(nodes.begin(), nodes.end(),
+                                 [](const ml::TreeNode& n) {
+                                   return n.is_leaf();
+                                 }) -
+                    nodes.begin();
+  struct Mutant {
+    const char* what;
+    double ml::TreeNode::*field;
+    double value;
+  };
+  const Mutant mutants[] = {
+      {"pos -1", &ml::TreeNode::pos, -1.0},
+      {"neg NaN", &ml::TreeNode::neg, std::nan("")},
+      {"pos +inf", &ml::TreeNode::pos, HUGE_VAL},
+      {"pos -0.0", &ml::TreeNode::pos, -0.0},
+  };
+  for (const Mutant& m : mutants) {
+    std::vector<ml::TreeNode> bad = nodes;
+    bad[static_cast<std::size_t>(leaf)].*m.field = m.value;
+    std::vector<ml::DecisionTree> trees;
+    trees.push_back(ml::DecisionTree::from_nodes(std::move(bad)));
+    const auto back = ml::load_bagging(
+        ml::save_bagging(ml::BaggingClassifier::from_trees(std::move(trees))));
+    EXPECT_EQ(back.status().code(), common::StatusCode::kDataLoss) << m.what;
   }
 }
 
@@ -238,6 +258,8 @@ TEST_F(ResilienceAttack, LoadModelRejectsWhatScoringWouldMisuse) {
                      with_root([](ml::TreeNode& n) { n.right = 0; })});
   mutants.push_back({"zero histogram bins", model});
   mutants.back().model.config.hist_bins = 0;
+  mutants.push_back({"negative top-K", model});
+  mutants.back().model.config.top_k = -1;
   for (const double r : {std::nan(""), -1.0, HUGE_VAL}) {
     mutants.push_back({"neighbourhood radius not finite and >= 0", model});
     mutants.back().model.filter.neighborhood = r;
@@ -291,6 +313,93 @@ TEST_F(ResilienceAttack, RunKeySeparatesConfigsAndInputs) {
   auto renamed = challenges_;
   renamed[0].design_name = "someone_else";
   EXPECT_NE(base, core::attack_run_key(renamed, cfg_));
+}
+
+// --- result digest ----------------------------------------------------------
+
+TEST(ResultDigest, MatchesTheByteWiseDefinition) {
+  // Real results: every fold of a leave-one-out run.
+  std::vector<splitmfg::SplitChallenge> challenges;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    challenges.push_back(
+        repro::testing::make_grid_challenge(50, 100000, 8000, s));
+  }
+  const core::ChallengeSuite suite(challenges);
+  for (const core::AttackResult& r :
+       suite.run_all(core::config_from_name("Imp-9"))) {
+    EXPECT_EQ(core::result_digest(r),
+              repro::testing::reference_result_digest(r))
+        << r.design();
+  }
+
+  // Synthetic results: every byte-length class of a count, every special
+  // float bit pattern, an id of -1, and zero runs both shorter and far
+  // longer than one field.
+  const std::uint32_t counts[] = {0,        1,          255,
+                                  256,      65535,      65536,
+                                  16777215, 16777216,   0xffffffffu};
+  const float floats[] = {0.0f,
+                          -0.0f,
+                          HUGE_VALF,
+                          -HUGE_VALF,
+                          std::nanf(""),
+                          -std::nanf(""),
+                          std::numeric_limits<float>::denorm_min(),
+                          0.5f,
+                          -1.0f};
+  const splitmfg::VpinId ids[] = {-1, 0, 1, 255, 256, 70000};
+  for (const int bins : {1, 7, 512, 5000}) {
+    core::AttackResult res("synthetic", 8, bins);
+    auto& pv = res.mutable_per_vpin();
+    std::mt19937_64 rng(static_cast<std::uint64_t>(bins));
+    std::uniform_int_distribution<int> pick(0, 8);
+    const auto bins_of = [bins](auto fill) {
+      std::vector<std::uint32_t> h(static_cast<std::size_t>(bins));
+      for (std::size_t b = 0; b < h.size(); ++b) h[b] = fill(b);
+      return h;
+    };
+    const auto top_of = [&](std::size_t size) {
+      std::vector<core::Candidate> top(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        top[i] = {ids[i % std::size(ids)], floats[i % std::size(floats)],
+                  floats[(i / std::size(floats)) % std::size(floats)]};
+      }
+      return top;
+    };
+    for (int v = 0; v < 12; ++v) {
+      core::VpinResult r;
+      r.num_evaluated = v == 1 ? -1 : v == 2 ? 0x7fffffff : v * 37;
+      r.p_true = floats[static_cast<std::size_t>(v) % std::size(floats)];
+      r.d_true = floats[static_cast<std::size_t>(v + 3) % std::size(floats)];
+      switch (v % 4) {
+        case 0:  // all zero, the common case of an untested v-pin
+          r.hist = bins_of([](std::size_t) { return 0u; });
+          break;
+        case 1:  // zero-free
+          r.hist = bins_of([&](std::size_t b) {
+            return counts[1 + b % (std::size(counts) - 1)];
+          });
+          break;
+        case 2:  // alternating zero and non-zero
+          r.hist = bins_of([&](std::size_t b) {
+            return b % 2 ? counts[1 + b % (std::size(counts) - 1)] : 0u;
+          });
+          break;
+        default:  // random counts at the byte boundaries
+          r.hist = bins_of([&](std::size_t) {
+            return counts[static_cast<std::size_t>(pick(rng))];
+          });
+      }
+      r.top = top_of(v % 3 == 0 ? 0 : v % 3 == 1 ? 512 : 37);
+      pv.push_back(std::move(r));
+    }
+    EXPECT_EQ(core::result_digest(res),
+              repro::testing::reference_result_digest(res))
+        << bins << " bins";
+  }
+  const core::AttackResult empty("empty", 8, 512);
+  EXPECT_EQ(core::result_digest(empty),
+            repro::testing::reference_result_digest(empty));
 }
 
 // --- degradation ladder ---------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/resilience.hpp"
 #include "core/two_level.hpp"
 #include "test_helpers.hpp"
 
@@ -47,6 +48,25 @@ TEST_F(TwoLevel, AccuracyBoundedByLevel1) {
   // pruned result <= accuracy of level 1 at its threshold.
   EXPECT_LE(res.pruned.max_accuracy(),
             res.level1.accuracy_at_threshold(0.5) + 1e-9);
+}
+
+TEST_F(TwoLevel, Level1MatchesTheEngine) {
+  // Level 1 is the LoC attack itself: its result is the engine's, on the
+  // same features (distance scale included) and the same top-K.
+  std::vector<const splitmfg::SplitChallenge*> training{&challenges_[1],
+                                                        &challenges_[2]};
+  for (const bool normalize : {false, true}) {
+    AttackConfig cfg = config_from_name("Imp-11");
+    cfg.normalize_distances = normalize;
+    const TwoLevelResult res =
+        two_level_attack(challenges_[0], training, cfg);
+    const AttackResult engine = AttackEngine::test(
+        AttackEngine::train(training, cfg), challenges_[0]);
+    EXPECT_TRUE(repro::testing::same_result(res.level1, engine))
+        << "normalize_distances " << normalize;
+    EXPECT_EQ(result_digest(res.level1), result_digest(engine))
+        << "normalize_distances " << normalize;
+  }
 }
 
 }  // namespace
