@@ -7,9 +7,13 @@
 # (BatchIsolation), the model decoders load_model and load_bagging
 # (ResilienceAttack, MlSerialize), command-line flags) plus the tree
 # and bagging learners, whose presorted split search is all offset
-# arithmetic, and the bookkeeping after scoring: the top-K select step
-# (TopK, TwoLevel) and result_digest's zero-run skipping (ResultDigest). Any sanitizer finding aborts the run
-# (-fno-sanitize-recover=all) and fails the script.
+# arithmetic, the forest kernels at the engine's 1024-row batches
+# (FlatForest, FlatForestKernels: the AVX2 frontier's offset and gather
+# arithmetic), and the bookkeeping after scoring: the top-K radix sort
+# (TopK, TwoLevel, and PA validation's full ranking in ProximityAttack)
+# and result_digest's zero-run skipping (ResultDigest). Any sanitizer
+# finding aborts the run (-fno-sanitize-recover=all) and fails the
+# script.
 #
 # Usage: scripts/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
@@ -23,6 +27,6 @@ export ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1
 export UBSAN_OPTIONS=print_stacktrace=1
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir|CampaignTable|Telemetry|ResultDigest|TopK|TwoLevel' "$@"
+  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir|CampaignTable|Telemetry|ResultDigest|TopK|TwoLevel|FlatForest|ProximityAttack' "$@"
 
 echo "sanitizer check passed"

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -32,7 +33,7 @@ namespace repro::common {
 /// incremental computations (pass the previous return value).
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0);
-inline std::uint32_t crc32_str(const std::string& s) {
+inline std::uint32_t crc32_str(std::string_view s) {
   return crc32({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 

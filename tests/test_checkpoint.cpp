@@ -15,7 +15,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/binio.hpp"
 #include "common/fault.hpp"
@@ -127,6 +130,57 @@ TEST(BinIo, ImplausibleStringLengthFails) {
   std::string s;
   EXPECT_FALSE(r.str(s));
   EXPECT_FALSE(r.ok());
+}
+
+/// CRC-32 one byte at a time through one 256-entry table: the reference
+/// the sliced crc32 must reproduce.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(BinIo, Crc32MatchesTheBytewiseTable) {
+  using repro::common::crc32;
+  EXPECT_EQ(crc32_str("123456789"), 0xCBF43926u);  // the standard check
+  EXPECT_EQ(crc32_str(""), 0u);
+
+  std::mt19937_64 rng(3);
+  std::vector<std::uint8_t> data(300 * 1024 + 16);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng());
+  // Every length 0..64 at every start offset 0..7, so the 8-byte steps
+  // and the bytewise tail see each split and each alignment.
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = data.data() + start;
+      ASSERT_EQ(crc32({p, len}), bytewise_crc32(p, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  // A ~300 KB artifact-sized buffer, aligned and not.
+  for (std::size_t start : {0, 1, 3, 7}) {
+    const std::size_t len = 300 * 1024 + 9;
+    EXPECT_EQ(crc32({data.data() + start, len}),
+              bytewise_crc32(data.data() + start, len))
+        << "start " << start;
+  }
+  // Chained seeds: crc32(b, crc32(a)) == crc32(a + b), cut anywhere.
+  for (std::size_t cut : {0, 1, 5, 8, 13, 64, 4099, 300 * 1024}) {
+    const std::span<const std::uint8_t> all(data.data(), 300 * 1024);
+    EXPECT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))), crc32(all))
+        << "cut " << cut;
+    EXPECT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))),
+              bytewise_crc32(all.data() + cut, all.size() - cut,
+                             bytewise_crc32(all.data(), cut)))
+        << "cut " << cut;
+  }
 }
 
 // --- artifact envelope ----------------------------------------------------
