@@ -7,17 +7,19 @@
 #   1. builds split_attack,
 #   2. runs the built-in LOO demo uninterrupted with --digest-out to get
 #      the reference per-design and combined result digests,
-#   3. runs again with REPRO_FAULT=crash_after_artifact:1 — the process
-#      SIGKILLs itself immediately after the second artifact commit
-#      (fold 0's model at ordinal 0, fold 0's result at ordinal 1), so
-#      exactly one fold result is durable, every time,
+#   3. runs again with REPRO_FAULT=crash_after_artifact:$FOLD0_RESULT —
+#      the process SIGKILLs itself immediately after fold 0's result
+#      commits. The LOO trains every fold before it scores any, so the
+#      five demo designs' models commit first (ordinals 0-4) and fold 0's
+#      result is ordinal 5, the number of designs; exactly one fold
+#      result is durable, every time,
 #   4. resumes with --resume at a different thread count and asserts the
 #      digest file is byte-identical to the uninterrupted reference,
 #   5. repeats the differential for a torn write: a run with
-#      REPRO_FAULT=corrupt_artifact:1 commits damaged bytes for fold 0's
-#      result while the manifest records the true CRC; the resume must
-#      detect the mismatch, recompute that fold, and still reproduce the
-#      reference digests,
+#      REPRO_FAULT=corrupt_artifact:$FOLD0_RESULT commits damaged bytes
+#      for fold 0's result while the manifest records the true CRC; the
+#      resume must detect the mismatch, recompute that fold, and still
+#      reproduce the reference digests,
 #   6. kills a single-victim run (fold 0 of the same suite) right after
 #      its model commits (REPRO_FAULT=crash_after_artifact:0), resumes it
 #      at another thread count to a digest file byte-identical to an
@@ -37,6 +39,9 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${1:-build}
 SCALE=${REPRO_SCALE:-0.12}
+# Commit ordinal of fold 0's result in a --loo run: one model per demo
+# design commits before it.
+FOLD0_RESULT=5
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 
@@ -56,7 +61,7 @@ grep -q '"complete": true' "$OUT/reference.json" || {
 echo "== crash-recovery: deterministic crash after fold 0 commits =="
 CKPT="$OUT/ckpt"
 set +e
-REPRO_SCALE="$SCALE" REPRO_FAULT=crash_after_artifact:1 \
+REPRO_SCALE="$SCALE" REPRO_FAULT=crash_after_artifact:$FOLD0_RESULT \
   "$BIN" --demo --loo --threads 1 \
   --checkpoint-dir "$CKPT" --digest-out "$OUT/killed.json" \
   >"$OUT/killed.log" 2>&1
@@ -91,7 +96,7 @@ echo "combined digest reproduced across kill+resume: $COMBINED"
 
 echo "== crash-recovery: torn-write (corrupt artifact, true CRC) =="
 CKPT2="$OUT/ckpt-corrupt"
-REPRO_SCALE="$SCALE" REPRO_FAULT=corrupt_artifact:1 \
+REPRO_SCALE="$SCALE" REPRO_FAULT=corrupt_artifact:$FOLD0_RESULT \
   "$BIN" --demo --loo --threads 1 \
   --checkpoint-dir "$CKPT2" --digest-out "$OUT/corrupt.json" \
   >"$OUT/corrupt.log" 2>&1 || true

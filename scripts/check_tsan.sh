@@ -2,7 +2,9 @@
 # Builds the test suite with ThreadSanitizer and runs the parallel-path
 # tests (thread pool primitives, concurrent bagging training, parallel
 # candidate scoring with its per-worker buffers and top-K select step,
-# LOO folds, observability counters and span buffers).
+# the pair-once store whose rows phase 2 reads after other workers wrote
+# them in phase 1, the candidate symmetry its cursors rely on, the staged
+# LOO, observability counters and span buffers).
 # REPRO_THREADS=8 forces real concurrency
 # even on small machines so TSan has interleavings to observe. Any data
 # race fails the script.
@@ -19,6 +21,6 @@ export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 export REPRO_THREADS=8
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Parallel|ThreadInvariance|FlatForest|TopK|Bagging|Attack|Obs|Checkpoint|Resilience|Simd|Http|ArtifactCache|ScopedInline|CircuitBreaker|RemoteCampaign' "$@"
+  -R 'Parallel|ThreadInvariance|FlatForest|TopK|Bagging|Attack|CandidateIndex|Obs|Checkpoint|Resilience|Simd|Http|ArtifactCache|ScopedInline|CircuitBreaker|RemoteCampaign' "$@"
 
 echo "tsan check passed"

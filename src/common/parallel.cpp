@@ -216,6 +216,8 @@ int configured_threads() {
 
 int current_worker_id() { return t_worker_id; }
 
+bool in_parallel_region() { return t_in_parallel_region; }
+
 namespace {
 
 std::mutex g_pool_mutex;

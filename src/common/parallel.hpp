@@ -148,6 +148,11 @@ class ScopedInline {
   bool prev_ = false;
 };
 
+/// True while the calling thread runs a parallel_for body or holds a
+/// ScopedInline: a parallel_for issued now would run inline. A caller
+/// that sees false owns the pool for its next region.
+bool in_parallel_region();
+
 /// Thread count the global pool would use right now (>= 1).
 int configured_threads();
 

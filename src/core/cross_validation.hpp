@@ -3,6 +3,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/attack.hpp"
@@ -41,13 +42,14 @@ class ChallengeSuite {
   std::vector<AttackResult> run_all(const AttackConfig& config) const;
 
   /// run_all with resilience services: completed folds are checkpointed
-  /// (model while the fold is in flight, result when it finishes) and
-  /// loaded instead of recomputed on resume; cancellation and budget
-  /// pressure are honoured at fold boundaries. Slot i is nullopt when
-  /// fold i was not completed (cancelled / budget exhausted). Because
-  /// every fold is a pure function of (challenges, config, i) and the
-  /// artifacts round-trip by bit pattern, a resumed run's results are
-  /// bit-identical to an uninterrupted run's at any thread count.
+  /// (model once trained, result when scored) and loaded instead of
+  /// recomputed on resume; cancellation and budget pressure are honoured
+  /// between stages and between folds (see compute_folds). Slot i is
+  /// nullopt when fold i was not completed (cancelled / budget
+  /// exhausted). Because every fold is a pure function of (challenges,
+  /// config, i) and the artifacts round-trip by bit pattern, a resumed
+  /// run's results are bit-identical to an uninterrupted run's at any
+  /// thread count.
   std::vector<std::optional<AttackResult>> run_all_checkpointed(
       const AttackConfig& config, const RunControl& rc) const;
 
@@ -77,11 +79,22 @@ class ChallengeSuite {
                                               common::DiagnosticSink& sink,
                                               std::int64_t i) const;
 
-  /// Trains (unless `model` resumes one) and scores fold i, recording
-  /// artifacts through rc.checkpoint. No result on cancel / budget stop.
-  FoldRun compute_fold(const AttackConfig& config, const RunControl& rc,
-                       std::int64_t i,
-                       std::optional<TrainedModel> model) const;
+  /// Computes `folds` (ascending; runs[k] is fold folds[k], entering
+  /// with its model when one was resumed) in three stages, each on the
+  /// whole pool:
+  ///   1. sample and presort the training set of every fold to train;
+  ///   2. grow the trees of all those folds in one flat static region of
+  ///      (fold, tree) units, then commit the models in fold order;
+  ///   3. score the folds one after another, committing each result.
+  /// Only one fold's pair store (AttackEngine::test) exists at a time.
+  /// Budget pressure is read per fold before its trees (degrading its
+  /// config); kExceeded is also checked at each stage boundary and
+  /// before each fold's scoring, and stops the run. A fold left without
+  /// a result was cancelled or stopped. Models are dropped once scored
+  /// unless `keep_models`.
+  void compute_folds(const AttackConfig& config, const RunControl& rc,
+                     std::span<const std::int64_t> folds,
+                     std::span<FoldRun> runs, bool keep_models) const;
 
   std::vector<splitmfg::SplitChallenge> challenges_;
 };

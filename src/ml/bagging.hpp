@@ -64,6 +64,28 @@ class BaggingClassifier {
   static common::StatusOr<BaggingClassifier> train_checked(
       const Dataset& data, const BaggingOptions& opt);
 
+  /// Grows tree t of the ensemble train(data, opt) builds. Its bootstrap
+  /// resample and its growth both draw from derive_seed(opt.seed, t), so
+  /// trees may be grown in any order, on any thread: train() is the
+  /// parallel loop over t, and the LOO schedule (core/cross_validation)
+  /// grows the trees of every fold in one region through this function.
+  /// `order` must be Presort(data); `scratch` is the calling worker's.
+  /// Throws std::invalid_argument on an empty dataset, as train() does.
+  static DecisionTree train_tree(const Dataset& data, const Presort& order,
+                                 const BaggingOptions& opt, int t,
+                                 TreeScratch& scratch);
+
+  /// Minimum trees per chunk of a parallel region over trees. A 50-tree
+  /// ensemble sliced into 8 cold chunks pays more in worker wakeup and
+  /// cache warmup than the spread buys; requiring a few trees per chunk
+  /// keeps the per-chunk fixed costs amortized. Purely a scheduling knob:
+  /// the model is bit-identical for any grain.
+  static constexpr std::int64_t kTreeGrain = 4;
+
+  /// The ensemble of trees train_tree grew, t = 0, 1, ...: from_trees,
+  /// plus the ml.trees_grown and ml.tree_nodes counts of a trained model.
+  static BaggingClassifier from_grown_trees(std::vector<DecisionTree> trees);
+
   /// Rebuilds an ensemble from stored trees (model deserialization;
   /// see ml/serialize.hpp).
   static BaggingClassifier from_trees(std::vector<DecisionTree> trees) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "core/attack.hpp"
 #include "test_helpers.hpp"
 
@@ -188,6 +193,69 @@ TEST_F(AttackOnSynthetic, ResultCarriesTimingAndSizes) {
   EXPECT_GT(res.train_seconds, 0.0);
   EXPECT_GT(res.test_seconds, 0.0);
   EXPECT_EQ(res.split_layer(), 8);
+}
+
+// --- pair-once scoring ------------------------------------------------------
+
+class AttackPairOnce : public AttackOnSynthetic {
+ protected:
+  void TearDown() override {
+    common::set_global_threads(0);
+    common::obs::set_enabled(false);
+    common::obs::reset_metrics();
+  }
+};
+
+// A test() call that owns the pool predicts each unordered pair once,
+// into a store both endpoints read; the same call under ScopedInline
+// predicts every pair of each target itself. The two must agree bit for
+// bit, with every target tested and with a sampled subset (where only
+// pairs of two tested endpoints share a store entry), on pools that cut
+// the targets evenly and unevenly.
+TEST_F(AttackPairOnce, PooledScoringMatchesInline) {
+  const std::vector<const splitmfg::SplitChallenge*> training{
+      &challenges_[1], &challenges_[2]};
+  for (const char* name : {"ML-9", "Imp-9", "Imp-11Y"}) {
+    for (const int max_test : {0, 40}) {
+      AttackConfig cfg = config_from_name(name);
+      cfg.max_test_vpins = max_test;
+      const TrainedModel model = AttackEngine::train(training, cfg);
+      for (const int threads : {1, 3, 4}) {
+        common::set_global_threads(threads);
+        const AttackResult pooled = AttackEngine::test(model, challenges_[0]);
+        const AttackResult inlined = [&] {
+          const common::ScopedInline guard;
+          return AttackEngine::test(model, challenges_[0]);
+        }();
+        EXPECT_TRUE(testing::same_result(pooled, inlined))
+            << name << ", max_test_vpins " << max_test << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST_F(AttackPairOnce, PooledScoringPredictsEachPairOnce) {
+  const std::vector<const splitmfg::SplitChallenge*> training{
+      &challenges_[1], &challenges_[2]};
+  const TrainedModel model =
+      AttackEngine::train(training, config_from_name("Imp-9"));
+  common::obs::set_enabled(true);
+  const auto count = [&](bool inline_call) {
+    common::obs::reset_metrics();
+    std::optional<common::ScopedInline> guard;
+    if (inline_call) guard.emplace();
+    (void)AttackEngine::test(model, challenges_[0]);
+    return std::pair{common::obs::counter("attack.pairs_scored").value(),
+                     common::obs::counter("attack.forest_rows").value()};
+  };
+  common::set_global_threads(4);
+  const auto [pairs, rows] = count(false);
+  ASSERT_GT(pairs, 0u);
+  EXPECT_EQ(rows * 2, pairs) << "each unordered pair through the forest once";
+  const auto [inline_pairs, inline_rows] = count(true);
+  EXPECT_EQ(inline_pairs, pairs);
+  EXPECT_EQ(inline_rows, pairs) << "an inline call predicts every pair";
 }
 
 }  // namespace

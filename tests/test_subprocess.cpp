@@ -120,7 +120,7 @@ TEST(Subprocess, PollIsNonBlockingAndEventuallyReaps) {
 }
 
 TEST(Subprocess, WaitForTimesOutWithoutKillingThenKillEscalates) {
-  auto child = Subprocess::spawn(sh("sleep 30"));
+  auto child = Subprocess::spawn(sh("exec sleep 30"));
   ASSERT_TRUE(child.ok());
   EXPECT_FALSE(child->wait_for(0.1));
   EXPECT_TRUE(child->running()) << "wait_for must not kill on timeout";
