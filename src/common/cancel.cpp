@@ -3,21 +3,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
+
+#include "common/clock.hpp"
 
 namespace repro::common {
 
 namespace {
 
 void handle_stop_signal(int) { global_cancel_token().request_cancel(); }
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -60,9 +55,9 @@ const char* to_string(BudgetPressure p) {
 
 Budget::Budget(double deadline_s, long max_rss_mb)
     : deadline_s_(deadline_s), max_rss_mb_(max_rss_mb),
-      start_s_(now_seconds()) {}
+      start_s_(steady_seconds()) {}
 
-double Budget::elapsed_s() const { return now_seconds() - start_s_; }
+double Budget::elapsed_s() const { return steady_seconds() - start_s_; }
 
 BudgetPressure Budget::pressure() const {
   const auto level = [](double used_frac) {

@@ -74,6 +74,7 @@ class Budget {
  public:
   /// deadline_s <= 0 and max_rss_mb <= 0 disable the respective limit.
   Budget(double deadline_s, long max_rss_mb);
+  virtual ~Budget() = default;
 
   bool unlimited() const { return deadline_s_ <= 0 && max_rss_mb_ <= 0; }
   double deadline_s() const { return deadline_s_; }
@@ -82,8 +83,9 @@ class Budget {
 
   /// Worst pressure across the armed limits. Deadline pressure uses the
   /// elapsed fraction (soft 0.6, hard 0.8, exceeded 1.0); RSS pressure
-  /// uses the same fractions of max_rss_mb.
-  BudgetPressure pressure() const;
+  /// uses the same fractions of max_rss_mb. Virtual so that a test can
+  /// script the pressure a run meets at each of its reads.
+  virtual BudgetPressure pressure() const;
 
  private:
   double deadline_s_ = 0;

@@ -1,11 +1,11 @@
 #include "core/attack_service.hpp"
 
-#include <chrono>
 #include <exception>
 #include <limits>
 #include <utility>
 
 #include "common/binio.hpp"
+#include "common/clock.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
@@ -21,12 +21,6 @@ using common::hex64;
 using common::JsonObject;
 using common::http::Request;
 using common::http::Response;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Response json_response(int status, const std::string& body) {
   Response resp;
@@ -238,14 +232,14 @@ Response AttackService::handle_score(const Request& req) {
   common::ScopedInline inline_region;
   const std::uint64_t key = fold_model_key(suite, config, fold);
   const char* source = "trained";
-  const double t0 = now_seconds();
+  const double t0 = common::steady_seconds();
   const auto entry = hydrate(suite, config, fold, key, &source);
-  const double t1 = now_seconds();
+  const double t1 = common::steady_seconds();
   const AttackResult result =
       AttackEngine::test(entry->model, entry->forest,
                          suite.challenge(static_cast<std::size_t>(fold)),
                          opt_.cancel);
-  const double t2 = now_seconds();
+  const double t2 = common::steady_seconds();
   if (result.interrupted) {
     rejected_busy_.fetch_add(1, std::memory_order_relaxed);
     return error_response(503, "scoring interrupted by shutdown");

@@ -1,21 +1,15 @@
 #include "core/proximity.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <random>
 
+#include "common/clock.hpp"
 #include "core/candidate_index.hpp"
 
 namespace repro::core {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Picks the PA answer from the first `k` entries of a candidate list
 /// sorted by descending p: minimum distance, ties by higher p, then lowest
@@ -91,7 +85,7 @@ PAOutcome validated_proximity_attack(
     std::span<const splitmfg::SplitChallenge* const> training,
     const AttackConfig& config, const PAOptions& opt) {
   PAOutcome out;
-  const double t0 = now_seconds();
+  const double t0 = common::steady_seconds();
   std::mt19937_64 rng(opt.seed * 31 + config.seed);
 
   // 80/20 v-pin masks per training challenge (concatenated, as
@@ -201,7 +195,7 @@ PAOutcome validated_proximity_attack(
     if (s > out.validation_curve[best_fi].second) best_fi = fi;
   }
   out.best_fraction = opt.fractions[best_fi];
-  out.validation_seconds = now_seconds() - t0;
+  out.validation_seconds = common::steady_seconds() - t0;
   out.success_rate = pa_success_rate(target_result, target, out.best_fraction);
   return out;
 }

@@ -347,6 +347,24 @@ StatusOr<TrainedModel> load_model(const std::string& raw) {
   return model;
 }
 
+bool apply_scoring_degradation(AttackConfig& config,
+                               common::BudgetPressure pressure,
+                               std::int64_t fold) {
+  constexpr int kDegradedTargets = 256;
+  if (pressure != common::BudgetPressure::kHard) return false;
+  if (config.max_test_vpins != 0 &&
+      config.max_test_vpins <= kDegradedTargets) {
+    return false;
+  }
+  config.max_test_vpins = kDegradedTargets;
+  common::obs::record_degradation(
+      "sample_targets",
+      "budget hard: at most " + std::to_string(kDegradedTargets) +
+          " targets scored per design",
+      fold);
+  return true;
+}
+
 bool apply_degradation(AttackConfig& config, common::BudgetPressure pressure,
                        std::int64_t fold) {
   using common::BudgetPressure;
@@ -356,7 +374,6 @@ bool apply_degradation(AttackConfig& config, common::BudgetPressure pressure,
   }
   bool changed = false;
   constexpr int kDegradedTrees = 5;
-  constexpr int kDegradedTargets = 256;
   constexpr double kDegradedPercentile = 0.75;
   if (config.max_trees == 0 || config.max_trees > kDegradedTrees) {
     config.max_trees = kDegradedTrees;
@@ -369,16 +386,7 @@ bool apply_degradation(AttackConfig& config, common::BudgetPressure pressure,
     changed = true;
   }
   if (pressure >= BudgetPressure::kHard) {
-    if (config.max_test_vpins == 0 ||
-        config.max_test_vpins > kDegradedTargets) {
-      config.max_test_vpins = kDegradedTargets;
-      common::obs::record_degradation(
-          "sample_targets",
-          "budget hard: at most " + std::to_string(kDegradedTargets) +
-              " targets scored per design",
-          fold);
-      changed = true;
-    }
+    changed |= apply_scoring_degradation(config, pressure, fold);
     if (config.improved &&
         config.neighborhood_percentile > kDegradedPercentile) {
       config.neighborhood_percentile = kDegradedPercentile;

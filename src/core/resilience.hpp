@@ -102,4 +102,11 @@ common::StatusOr<TrainedModel> load_model(const std::string& raw);
 bool apply_degradation(AttackConfig& config, common::BudgetPressure pressure,
                        std::int64_t fold = -1);
 
+/// Rung 2 alone ("sample_targets", under hard pressure only): the one
+/// rung left to a fold whose model is already trained. Records its event
+/// and returns true if it changed the config.
+bool apply_scoring_degradation(AttackConfig& config,
+                               common::BudgetPressure pressure,
+                               std::int64_t fold = -1);
+
 }  // namespace repro::core

@@ -1,28 +1,18 @@
 #include "core/two_level.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <random>
 
+#include "common/clock.hpp"
 #include "core/candidate_index.hpp"
 
 namespace repro::core {
-
-namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 TwoLevelResult two_level_attack(
     const splitmfg::SplitChallenge& target,
     std::span<const splitmfg::SplitChallenge* const> training,
     const AttackConfig& config, double level1_threshold) {
-  const double t0 = now_seconds();
+  const double t0 = common::steady_seconds();
   std::mt19937_64 rng(config.seed * 40503 + 11);
 
   // Level 1.
@@ -145,7 +135,7 @@ TwoLevelResult two_level_attack(
     res->finalize();
   }
 
-  out.total_seconds = now_seconds() - t0;
+  out.total_seconds = common::steady_seconds() - t0;
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -723,6 +724,69 @@ TEST_F(ResilienceAttack, ExhaustedBudgetStopsFoldsAndRequestsCancel) {
   }
   EXPECT_TRUE(cancel.cancelled());
   EXPECT_EQ(cancel.reason(), "budget exhausted");
+}
+
+/// A budget whose pressure the test scripts, read by read.
+class ScriptedBudget : public common::Budget {
+ public:
+  explicit ScriptedBudget(std::function<common::BudgetPressure()> script)
+      : common::Budget(0, 0), script_(std::move(script)) {}
+  common::BudgetPressure pressure() const override { return script_(); }
+
+ private:
+  std::function<common::BudgetPressure()> script_;
+};
+
+// A LOO run chooses the rungs that shape its models once, at the start,
+// and reads the budget again before each fold's scoring. Pressure that
+// turns hard once fold 0's result is committed samples the targets of
+// the later folds, whose trees are already grown, instead of dropping
+// them.
+TEST_F(ResilienceAttack, PressureTurningHardMidRunDegradesLaterFolds) {
+  std::vector<splitmfg::SplitChallenge> big;  // 300 v-pins, above 256
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    big.push_back(repro::testing::make_grid_challenge(150, 100000, 8000, s));
+  }
+  const core::ChallengeSuite suite(big);
+  common::set_global_threads(2);
+  const std::vector<core::AttackResult> full = suite.run_all(cfg_);
+  core::AttackConfig sampled = cfg_;
+  sampled.max_test_vpins = 256;
+  const std::vector<core::AttackResult> degraded = suite.run_all(sampled);
+
+  const std::string dir = fresh_dir("mid_run_budget");
+  common::DiagnosticSink sink;
+  auto ckpt = common::CheckpointManager::open(
+      dir, core::attack_run_key(big, cfg_), sink);
+  ASSERT_TRUE(ckpt.ok());
+  ScriptedBudget budget([&] {
+    return ckpt->has(core::ChallengeSuite::fold_result_name(0))
+               ? common::BudgetPressure::kHard
+               : common::BudgetPressure::kNone;
+  });
+  common::CancelToken cancel;
+  core::RunControl rc;
+  rc.checkpoint = &*ckpt;
+  rc.cancel = &cancel;
+  rc.budget = &budget;
+  rc.sink = &sink;
+  const auto folds = suite.run_all_checkpointed(cfg_, rc);
+  EXPECT_FALSE(cancel.cancelled());
+  ASSERT_EQ(folds.size(), big.size());
+  for (const auto& f : folds) {
+    ASSERT_TRUE(f.has_value()) << "a degraded fold is kept, not dropped";
+  }
+  EXPECT_TRUE(same_result(*folds[0], full[0]));
+  for (std::size_t i = 1; i < folds.size(); ++i) {
+    EXPECT_FALSE(same_result(full[i], degraded[i])) << "sampling shows";
+    EXPECT_TRUE(same_result(*folds[i], degraded[i])) << "fold " << i;
+  }
+  const auto events = common::obs::degradation_events();
+  ASSERT_EQ(events.size(), folds.size() - 1);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    EXPECT_EQ(events[e].step, "sample_targets");
+    EXPECT_EQ(events[e].fold, static_cast<std::int64_t>(e + 1));
+  }
 }
 
 }  // namespace
