@@ -10,8 +10,9 @@
 # arithmetic, the forest kernels at the engine's 1024-row batches
 # (FlatForest, FlatForestKernels: the AVX2 frontier's offset and gather
 # arithmetic), and the bookkeeping after scoring: the top-K radix sort
-# (TopK, TwoLevel, and PA validation's full ranking in ProximityAttack)
-# and result_digest's zero-run skipping (ResultDigest). Any sanitizer
+# (TopK, and the engine's ranked lists as two-level pruning in TwoLevel
+# and PA validation in ProximityAttack read them) and result_digest's
+# zero-run skipping (ResultDigest). Any sanitizer
 # finding aborts the run (-fno-sanitize-recover=all) and fails the
 # script.
 #

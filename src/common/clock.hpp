@@ -1,6 +1,8 @@
 #pragma once
-// The one steady-clock reader: phase timings and budget deadlines are
-// differences of it, immune to wall-clock steps.
+// The two clock readers. Phase timings, spans and deadlines are
+// differences of the steady clock, immune to wall-clock steps; ages
+// that compare times across processes (heartbeats, telemetry records)
+// read the wall clock.
 
 #include <chrono>
 
@@ -11,6 +13,14 @@ namespace repro::common {
 inline double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Seconds since the Unix epoch on the system clock: comparable across
+/// processes, but it can step.
+inline double wall_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
 

@@ -1,12 +1,12 @@
 #include "common/obs.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "common/clock.hpp"
 #include "common/diagnostics.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
@@ -20,12 +20,6 @@ std::atomic<bool> g_enabled{false};
 namespace {
 
 std::atomic<bool> g_logical_time{false};
-
-double wall_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -294,7 +288,7 @@ SpanGuard::SpanGuard(const char* name, std::int64_t arg) {
   name_ = name;
   arg_ = arg;
   begin_seq_ = buf_->next_seq++;
-  begin_s_ = wall_seconds();
+  begin_s_ = steady_seconds();
 }
 
 SpanGuard::~SpanGuard() { end(); }
@@ -310,7 +304,7 @@ void SpanGuard::end() {
   }
   buf->records.push_back(detail::SpanRecord{
       name_, arg_ == kNoArg ? 0 : arg_, arg_ != kNoArg, begin_seq_, end_seq,
-      begin_s_, wall_seconds()});
+      begin_s_, steady_seconds()});
 }
 
 std::vector<SpanEvent> snapshot_spans() {

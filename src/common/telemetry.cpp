@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/cancel.hpp"
+#include "common/clock.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
 #include "common/obs.hpp"
@@ -19,12 +20,6 @@
 namespace repro::common::obs {
 
 namespace {
-
-double wall_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 std::atomic<const char*> g_phase{"idle"};
 std::atomic<long> g_rss_mb{0};
@@ -118,7 +113,7 @@ StatusOr<TelemetryRecord> parse_telemetry_line(std::string_view line) {
 TelemetryRecord sample_telemetry(const Budget* budget) {
   TelemetryRecord rec;
   rec.pid = static_cast<std::int64_t>(::getpid());
-  rec.t = wall_now_s();
+  rec.t = wall_seconds();
   rec.phase = current_phase();
   const long rss = sample_rss();
   rec.rss_mb = rss;

@@ -4,6 +4,8 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 
@@ -26,6 +28,11 @@ namespace {
 // the same output at every batch size.
 constexpr int kBatch = 1024;
 
+/// The p of a pair the level-1 gate pruned. A forest's p is never
+/// negative (load_bagging keeps every leaf count >= 0), so no scored
+/// pair is mistaken for a pruned one.
+constexpr double kPruned = -1.0;
+
 /// The scoring loop's buffers. thread_local, like select_top's and
 /// frontier_avx2's: each pool worker or server handler thread reuses its
 /// own warm buffers across the targets and the calls it scores.
@@ -35,6 +42,8 @@ struct ScoreScratch {
   std::vector<double> rows;            ///< feature rows awaiting predict
   std::vector<std::uint32_t> pending;  ///< per row: partner (phase 1), cand index
   std::vector<double> probs = std::vector<double>(kBatch);  ///< predictions
+  std::vector<std::uint32_t> passed;   ///< gated batch: rows the gate passed
+  std::vector<double> passed_p = std::vector<double>(kBatch);  ///< their p
   std::vector<Candidate> scored;       ///< every candidate of the target
   std::vector<std::uint64_t> cursor;   ///< per store row: next entry to read
 };
@@ -99,8 +108,7 @@ const RankRecord* radix_sort(std::span<const Candidate> scored) {
   // its own warm buffers across the lists it ranks.
   static thread_local std::vector<RankRecord> buf_a, buf_b;
   const std::size_t n = scored.size();
-  // The engine, two-level pruning and PA validation all list candidates
-  // in ascending id.
+  // The engine lists candidates in ascending id.
   const bool by_id = !std::is_sorted(
       scored.begin(), scored.end(),
       [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
@@ -202,19 +210,30 @@ AttackConfig config_from_name(std::string_view name, std::uint64_t seed) {
   return c;
 }
 
-std::optional<double> TrainedModel::predict_pair(const splitmfg::Vpin& a,
-                                                 const splitmfg::Vpin& b,
-                                                 double distance_scale) const {
-  if (!filter.admits(a, b)) return std::nullopt;
-  const auto full = pair_features(a, b, distance_scale);
-  const std::vector<double> x = project(full, feat_idx);
-  return classifier.predict_proba(x);
-}
-
 double TrainedModel::scale_for(const splitmfg::SplitChallenge& ch) const {
   if (!config.normalize_distances) return 1.0;
   const auto denom = static_cast<double>(ch.die.width() + ch.die.height());
   return denom > 0 ? 1.0 / denom : 1.0;
+}
+
+PairFilter pair_filter_for(
+    std::span<const splitmfg::SplitChallenge* const> training,
+    const AttackConfig& config) {
+  PairFilter filter;
+  if (config.improved) {
+    filter.neighborhood =
+        neighborhood_radius(training, config.neighborhood_percentile);
+  }
+  filter.limit_top_direction = config.limit_top_direction;
+  filter.top_metal_horizontal = config.top_metal_horizontal;
+  return filter;
+}
+
+ml::BaggingOptions ensemble_options(const AttackConfig& config,
+                                    int num_features, std::uint64_t seed) {
+  return config.use_random_forest
+             ? ml::BaggingOptions::random_forest(num_features, seed)
+             : ml::BaggingOptions::reptree_bagging(seed);
 }
 
 TrainingPlan AttackEngine::plan_training(
@@ -225,14 +244,7 @@ TrainingPlan AttackEngine::plan_training(
   TrainedModel& model = plan.model;
   model.config = config;
   model.feat_idx = feature_indices(config.features);
-
-  model.filter = PairFilter{};
-  if (config.improved) {
-    model.filter.neighborhood =
-        neighborhood_radius(training, config.neighborhood_percentile);
-  }
-  model.filter.limit_top_direction = config.limit_top_direction;
-  model.filter.top_metal_horizontal = config.top_metal_horizontal;
+  model.filter = pair_filter_for(training, config);
 
   const double t0 = common::steady_seconds();
   SamplingOptions sopt;
@@ -259,10 +271,7 @@ TrainingPlan AttackEngine::plan_training(
   OBS_COUNT("attack.train_samples", data.num_rows());
   model.sample_seconds = common::steady_seconds() - t0;
 
-  plan.options = config.use_random_forest
-                     ? ml::BaggingOptions::random_forest(data.num_features(),
-                                                         config.seed)
-                     : ml::BaggingOptions::reptree_bagging(config.seed);
+  plan.options = ensemble_options(config, data.num_features(), config.seed);
   if (config.max_trees > 0 && plan.options.num_trees > config.max_trees) {
     // Budget degradation rung 1: a prefix of the ensemble. Tree i still
     // draws its seed from derive_seed(seed, i), so the capped ensemble
@@ -300,13 +309,51 @@ AttackResult AttackEngine::test(const TrainedModel& model,
                                 const ml::FlatForest& forest,
                                 const splitmfg::SplitChallenge& challenge,
                                 const common::CancelToken* cancel) {
+  const int n = challenge.num_vpins();
+  std::vector<int> targets(static_cast<std::size_t>(n));
+  std::iota(targets.begin(), targets.end(), 0);
+  if (model.config.max_test_vpins > 0 && n > model.config.max_test_vpins) {
+    // Evaluate a random subset of targets against every candidate.
+    // Per-target results stay exact; aggregate metrics become unbiased
+    // estimates over the sampled targets.
+    // Target sampling draws from its own named seed stream: ad-hoc
+    // `seed * prime + c` derivations collide across nearby seeds and with
+    // the per-tree streams of bagging (common::derive_seed), which this
+    // helper is built on.
+    std::mt19937_64 rng(
+        common::derive_stream(model.config.seed, "attack.test.targets"));
+    std::shuffle(targets.begin(), targets.end(), rng);
+    targets.resize(static_cast<std::size_t>(model.config.max_test_vpins));
+    std::sort(targets.begin(), targets.end());
+  }
+  return test(model, forest, challenge, targets, nullptr, cancel);
+}
+
+AttackResult AttackEngine::test(const TrainedModel& model,
+                                const ml::FlatForest& forest,
+                                const splitmfg::SplitChallenge& challenge,
+                                std::span<const int> targets,
+                                const Level1Gate* gate,
+                                const common::CancelToken* cancel) {
   OBS_SPAN("test.score");
   common::obs::set_phase("score");
   const double t0 = common::steady_seconds();
+  const int n = challenge.num_vpins();
+  std::vector<std::uint8_t> tested(static_cast<std::size_t>(n), 0);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    if (targets[t] < 0 || targets[t] >= n ||
+        (t > 0 && targets[t] <= targets[t - 1])) {
+      throw std::invalid_argument(
+          "AttackEngine::test: targets must be strictly ascending v-pin ids");
+    }
+    tested[static_cast<std::size_t>(targets[t])] = 1;
+  }
+  const std::size_t nt = targets.size();
+
   AttackResult result(challenge.design_name, challenge.split_layer,
                       model.config.hist_bins);
   auto& per_vpin = result.mutable_per_vpin();
-  per_vpin.resize(static_cast<std::size_t>(challenge.num_vpins()));
+  per_vpin.resize(static_cast<std::size_t>(n));
   // The 512-bin histograms are most of a result's bytes (2 KB a v-pin).
   // The pool allocates and zeroes them, one contiguous cut per thread,
   // as it later fills them: allocated by the calling thread alone, every
@@ -315,44 +362,14 @@ AttackResult AttackEngine::test(const TrainedModel& model,
   common::parallel_for(
       static_cast<std::int64_t>(per_vpin.size()), [&](std::int64_t i) {
         VpinResult& r = per_vpin[static_cast<std::size_t>(i)];
+        r.tested = tested[static_cast<std::size_t>(i)] != 0;
         r.has_match = !challenge.vpin(static_cast<int>(i)).matches.empty();
         r.hist.assign(static_cast<std::size_t>(model.config.hist_bins), 0);
       });
 
   const int bins = model.config.hist_bins;
   const auto bin_of = [bins](double p) { return detail::bin_index(p, bins); };
-
-  const int n = challenge.num_vpins();
   const double scale = model.scale_for(challenge);
-
-  const bool sample_targets =
-      model.config.max_test_vpins > 0 && n > model.config.max_test_vpins;
-  if (sample_targets) {
-    // Evaluate a random subset of targets against every candidate.
-    // Per-target results stay exact; aggregate metrics become unbiased
-    // estimates over the sampled targets.
-    std::vector<int> order(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-    // Target sampling draws from its own named seed stream: ad-hoc
-    // `seed * prime + c` derivations collide across nearby seeds and with
-    // the per-tree streams of bagging (common::derive_seed), which this
-    // helper is built on.
-    std::mt19937_64 rng(
-        common::derive_stream(model.config.seed, "attack.test.targets"));
-    std::shuffle(order.begin(), order.end(), rng);
-    order.resize(static_cast<std::size_t>(model.config.max_test_vpins));
-    for (auto& r : per_vpin) r.tested = false;
-    for (int t : order) per_vpin[static_cast<std::size_t>(t)].tested = true;
-  }
-  std::vector<int> targets;
-  std::vector<std::uint8_t> tested(static_cast<std::size_t>(n), 0);
-  targets.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (!per_vpin[static_cast<std::size_t>(i)].tested) continue;
-    targets.push_back(i);
-    tested[static_cast<std::size_t>(i)] = 1;
-  }
-  const std::size_t nt = targets.size();
 
   // Candidate enumeration is output-sensitive by default: the spatial
   // index yields exactly the admitted candidates of each target, in the
@@ -383,6 +400,35 @@ AttackResult AttackEngine::test(const TrainedModel& model,
       rows.push_back(full[static_cast<std::size_t>(model.feat_idx[k])]);
     }
   };
+  // s.probs[q] = p of s.rows' row q, for the first k rows. Under a gate
+  // the gate's forest scores every row first; the rows it passes are
+  // packed to the front and scored by `forest` alone, the others get
+  // kPruned.
+  const auto predict = [&](ScoreScratch& s, int k) {
+    if (!gate) {
+      forest.predict_batch(s.rows.data(), k, nfeat, s.probs.data());
+      return;
+    }
+    gate->forest.predict_batch(s.rows.data(), k, nfeat, s.probs.data());
+    s.passed.clear();
+    for (int q = 0; q < k; ++q) {
+      double& p1 = s.probs[static_cast<std::size_t>(q)];
+      if (p1 >= gate->threshold) {
+        std::memmove(s.rows.data() + s.passed.size() * nfeat,
+                     s.rows.data() + static_cast<std::size_t>(q) * nfeat,
+                     sizeof(double) * static_cast<std::size_t>(nfeat));
+        s.passed.push_back(static_cast<std::uint32_t>(q));
+      } else {
+        p1 = kPruned;
+      }
+    }
+    const int m = static_cast<int>(s.passed.size());
+    forest.predict_batch(s.rows.data(), m, nfeat, s.passed_p.data());
+    for (int i = 0; i < m; ++i) {
+      s.probs[s.passed[static_cast<std::size_t>(i)]] =
+          s.passed_p[static_cast<std::size_t>(i)];
+    }
+  };
 
   // Who scores a pair. A call that owns the pool scores each admissible
   // unordered pair once: phase 1 predicts, for every target i, its
@@ -399,12 +445,12 @@ AttackResult AttackEngine::test(const TrainedModel& model,
   std::vector<std::uint64_t> forest_rows(nt, 0);
 
   // Row i of the store holds p(i, j) for i's tested candidates j > i, in
-  // ascending j, as the float the top-K keeps; rows are addressed by
-  // v-pin id (untested rows are empty). The histogram bin and the p_true
-  // test read the double p. A float stands for the doubles strictly
-  // between its neighbours, the adjacent bit patterns, and bin_index is
-  // monotone, so the float gives the double's bin unless its neighbours
-  // straddle a bin edge. Those pairs, and matched pairs (in either
+  // ascending j, as the float the top-K keeps (kPruned if the gate pruned
+  // the pair); rows are addressed by v-pin id (untested rows are empty).
+  // The histogram bin and the p_true test read the double p. A float
+  // stands for the doubles strictly between its neighbours, the adjacent
+  // bit patterns, and bin_index is monotone, so the float gives the
+  // double's bin unless its neighbours straddle a bin edge. Those pairs, and matched pairs (in either
   // direction, so the reader's own is_match always finds its entry),
   // keep the double in `exact` as well, sorted by (i, j).
   // first[t * parts + w] counts the entries of target t's row whose j
@@ -479,7 +525,7 @@ AttackResult AttackEngine::test(const TrainedModel& model,
         std::uint32_t entries = 0;
         const auto flush = [&] {
           const int k = static_cast<int>(s.pending.size());
-          forest.predict_batch(s.rows.data(), k, nfeat, s.probs.data());
+          predict(s, k);
           for (int q = 0; q < k; ++q) {
             const double p = s.probs[static_cast<std::size_t>(q)];
             const int j = static_cast<int>(s.pending[static_cast<std::size_t>(q)]);
@@ -542,7 +588,7 @@ AttackResult AttackEngine::test(const TrainedModel& model,
                                   : 0;
     const auto flush = [&] {
       const int k = static_cast<int>(s.pending.size());
-      forest.predict_batch(s.rows.data(), k, nfeat, s.probs.data());
+      predict(s, k);
       for (int q = 0; q < k; ++q) {
         s.p[s.pending[static_cast<std::size_t>(q)]] =
             s.probs[static_cast<std::size_t>(q)];
@@ -567,11 +613,11 @@ AttackResult AttackEngine::test(const TrainedModel& model,
     }
     if (!s.pending.empty()) flush();
 
-    r.num_evaluated = static_cast<int>(m);
     s.scored.clear();
     for (std::size_t c = 0; c < m; ++c) {
       const splitmfg::VpinId j = s.cand[c];
       const double p = s.p[c];
+      if (p < 0) continue;  // kPruned
       const float d = detail::candidate_distance(vi, challenge.vpin(j));
       ++r.hist[static_cast<std::size_t>(bin_of(p))];
       s.scored.push_back({j, static_cast<float>(p), d});
@@ -580,6 +626,7 @@ AttackResult AttackEngine::test(const TrainedModel& model,
         r.d_true = d;
       }
     }
+    r.num_evaluated = static_cast<int>(s.scored.size());
     // The first top_k candidates in display order, sorted, at their
     // exact size.
     r.top = detail::select_top(s.scored, model.config.top_k);

@@ -8,6 +8,8 @@
 //   * a histogram of p over its candidates (for LoC-size control, SSIII-F),
 //   * the probability/distance of its true match (for accuracy),
 //   * a bounded top-K candidate list (for the proximity attack, SSIII-H).
+// AttackEngine::test is the one scorer: two-level pruning (SSIII-E) and
+// PA validation (SSIII-H) score their pairs through it too.
 #pragma once
 
 #include <bit>
@@ -88,8 +90,8 @@ namespace detail {
 /// last. NaN lands in bin 0 — a defensive guard (the ensemble averages
 /// finite leaf probabilities, so it cannot produce NaN itself), because
 /// casting NaN to int is undefined behaviour and would otherwise corrupt
-/// an arbitrary bin. Shared by AttackEngine's scoring loop,
-/// AttackResult's threshold queries, and the two-level attack.
+/// an arbitrary bin. Shared by AttackEngine's scoring loop and
+/// AttackResult's threshold queries.
 inline int bin_index(double p, int bins) {
   if (std::isnan(p) || p <= 0.0) return 0;
   if (p >= 1.0) return bins - 1;
@@ -118,10 +120,10 @@ inline std::uint64_t display_key(const Candidate& c) {
 
 /// Strict total "display order" on candidates: higher p first, ties by
 /// nearer distance, then lower id. Every ranked candidate list (the
-/// engine's top-K, two-level pruning's, PA validation's) is in this
-/// order, and the top-K set is its first K members, so the set (not just
-/// its final sorting) is independent of evaluation order — the property
-/// that makes parallel and serial scoring bit-identical.
+/// engine's top-K) is in this order, and the top-K set is its first K
+/// members, so the set (not just its final sorting) is independent of
+/// evaluation order — the property that makes parallel and serial
+/// scoring bit-identical.
 inline bool candidate_before(const Candidate& a, const Candidate& b) {
   const std::uint64_t ka = display_key(a), kb = display_key(b);
   if (ka != kb) return ka < kb;
@@ -138,7 +140,7 @@ std::vector<Candidate> select_top(std::span<const Candidate> scored, int k);
 
 /// Per-target-v-pin test outcome.
 struct VpinResult {
-  bool tested = true;       ///< false if skipped by max_test_vpins sampling
+  bool tested = true;       ///< false if not among the call's targets
   bool has_match = false;   ///< ground truth exists
   float p_true = -1.0f;     ///< max p over evaluated true matches (-1: none)
   float d_true = 0;
@@ -164,17 +166,30 @@ struct TrainedModel {
   /// `train_seconds_sum`) add up.
   double fit_seconds = 0;
 
-  /// p(v, v') for an admissible pair; nullopt if the pair is filtered out
-  /// (illegal / outside neighbourhood / violates the top-direction limit).
-  /// `distance_scale` must match the convention the model was trained
-  /// with (1.0 unless config.normalize_distances).
-  std::optional<double> predict_pair(const splitmfg::Vpin& a,
-                                     const splitmfg::Vpin& b,
-                                     double distance_scale = 1.0) const;
-
   /// The feature scale to use for a given challenge under this model's
   /// configuration.
   double scale_for(const splitmfg::SplitChallenge& ch) const;
+};
+
+/// A configuration's pair filter: the neighbourhood radius over the
+/// training designs' true matches (Imp variants) and the top-direction
+/// limit (Y variants).
+PairFilter pair_filter_for(
+    std::span<const splitmfg::SplitChallenge* const> training,
+    const AttackConfig& config);
+
+/// A configuration's ensemble, seeded with `seed`: Weka-style
+/// RandomForest over `num_features` features, or Bagging(REPTree).
+ml::BaggingOptions ensemble_options(const AttackConfig& config,
+                                    int num_features, std::uint64_t seed);
+
+/// Two-level pruning's level-1 gate (SSIII-E). A pair whose level-1
+/// probability is below `threshold` is pruned: the scoring forest never
+/// sees it, and it enters neither the histogram, num_evaluated, p_true
+/// nor the top-K.
+struct Level1Gate {
+  const ml::FlatForest& forest;  ///< the level-1 model's ensemble
+  double threshold = 0.5;
 };
 
 /// AttackEngine::train up to the fit: the model's filter and feature
@@ -274,9 +289,23 @@ class AttackEngine {
   /// must be FlatForest::build(model.classifier)). The overload above
   /// rebuilds the forest per call — fine for batch runs, wasted work for
   /// a server answering repeat requests from a warm model cache.
+  ///
+  /// Both overloads test every v-pin, or max_test_vpins of them drawn
+  /// from the "attack.test.targets" seed stream, through the one below.
   static AttackResult test(const TrainedModel& model,
                            const ml::FlatForest& forest,
                            const splitmfg::SplitChallenge& challenge,
+                           const common::CancelToken* cancel = nullptr);
+
+  /// Same, on explicit targets: strictly ascending v-pin ids of
+  /// `challenge` (std::invalid_argument otherwise). Exactly they are
+  /// tested; each is scored against all of its candidates. `forest`
+  /// scores the pairs; with a gate, only those the gate passes.
+  static AttackResult test(const TrainedModel& model,
+                           const ml::FlatForest& forest,
+                           const splitmfg::SplitChallenge& challenge,
+                           std::span<const int> targets,
+                           const Level1Gate* gate = nullptr,
                            const common::CancelToken* cancel = nullptr);
 
   /// Convenience: train + test.

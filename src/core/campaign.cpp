@@ -9,6 +9,7 @@
 
 #include "common/binio.hpp"
 #include "common/checkpoint.hpp"
+#include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "common/http.hpp"
 #include "common/json_writer.hpp"
@@ -26,12 +27,6 @@ namespace repro::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double wall_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -257,7 +252,7 @@ common::StatusOr<CampaignOutcome> CampaignSupervisor::run(
   const auto build_snapshot = [&](bool final_mode) {
     CampaignObsSnapshot snap;
     snap.rows = shards;
-    const double now_wall = wall_now_s();
+    const double now_wall = common::wall_seconds();
     for (ShardState& row : snap.rows) {
       if (!final_mode && row.has_telemetry) {
         row.heartbeat_age_s = std::max(0.0, now_wall - row.last_telemetry.t);

@@ -3,11 +3,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <chrono>
 #include <climits>
 #include <map>
 
 #include "common/binio.hpp"
+#include "common/clock.hpp"
 #include "common/flags.hpp"
 #include "common/json_scan.hpp"
 #include "common/json_writer.hpp"
@@ -20,12 +20,6 @@ namespace {
 using common::hex64;
 using common::JsonObject;
 using common::JsonValue;
-
-double wall_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 /// True when a raw JSON number token is a plain unsigned integer — the
 /// form the registry renders counters and histogram counts in. Gauges go
@@ -525,7 +519,7 @@ common::StatusOr<CampaignObsSnapshot> scan_campaign_dir(
     }
   }
   // Ages, stall flags, the stalled list and the totals.
-  refresh_volatile(&snap, wall_now_s(), stall_after_s);
+  refresh_volatile(&snap, common::wall_seconds(), stall_after_s);
 
   if (snap.complete) {
     std::vector<std::string> paths;
@@ -642,7 +636,7 @@ common::StatusOr<CampaignObsSnapshot> CampaignWatcher::poll() {
     if (!dirty) {
       ++stats_.reused;
       CampaignObsSnapshot out = cached_;
-      refresh_volatile(&out, wall_now_s(), stall_after_s_);
+      refresh_volatile(&out, common::wall_seconds(), stall_after_s_);
       return out;
     }
   }

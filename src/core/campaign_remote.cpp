@@ -7,6 +7,7 @@
 
 #include "common/cancel.hpp"
 #include "common/checkpoint.hpp"
+#include "common/clock.hpp"
 #include "common/diagnostics.hpp"
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
@@ -387,11 +388,7 @@ void RemoteDispatcher::count_remote_ok() {
   stats_.remote_ok += 1;
 }
 
-double RemoteDispatcher::now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+double RemoteDispatcher::now_ms() { return common::steady_seconds() * 1e3; }
 
 RemoteFleet RemoteDispatcher::fleet() const {
   std::lock_guard<std::mutex> lock(mutex_);

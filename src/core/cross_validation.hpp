@@ -87,11 +87,12 @@ class ChallengeSuite {
   ///      (fold, tree) units, then commit the models in fold order;
   ///   3. score the folds one after another, committing each result.
   /// Only one fold's pair store (AttackEngine::test) exists at a time.
-  /// Budget pressure is read per fold before its trees (degrading its
-  /// config); kExceeded is also checked at each stage boundary and
-  /// before each fold's scoring, and stops the run. A fold left without
-  /// a result was cancelled or stopped. Models are dropped once scored
-  /// unless `keep_models`.
+  /// Budget pressure is read at the start, after stage 1, and before
+  /// each fold's scoring. The first reading picks every fold's model
+  /// rungs (fewer trees, shrunk radius); the one before a fold's scoring
+  /// can still sample its targets. kExceeded at any reading stops the
+  /// run. A fold left without a result was cancelled or stopped. Models
+  /// are dropped once scored unless `keep_models`.
   void compute_folds(const AttackConfig& config, const RunControl& rc,
                      std::span<const std::int64_t> folds,
                      std::span<FoldRun> runs, bool keep_models) const;

@@ -5,11 +5,15 @@
 #include <random>
 
 #include "common/clock.hpp"
-#include "core/candidate_index.hpp"
 
 namespace repro::core {
 
 namespace {
+
+/// The PA-LoC size for a fraction of a design's n v-pins: at least one.
+int pa_loc_size(double fraction, int n) {
+  return std::max(1, static_cast<int>(std::lround(fraction * n)));
+}
 
 /// Picks the PA answer from the first `k` entries of a candidate list
 /// sorted by descending p: minimum distance, ties by higher p, then lowest
@@ -49,7 +53,7 @@ double pa_success_rate(const AttackResult& result,
                        const splitmfg::SplitChallenge& challenge,
                        double fraction) {
   const int n = challenge.num_vpins();
-  const int k = std::max(1, static_cast<int>(std::lround(fraction * n)));
+  const int k = pa_loc_size(fraction, n);
   int total = 0, good = 0;
   for (int v = 0; v < n; ++v) {
     const VpinResult& r = result.per_vpin()[static_cast<std::size_t>(v)];
@@ -99,16 +103,19 @@ PAOutcome validated_proximity_attack(
   }
 
   // Validation model: same configuration, trained on the selected 80%.
+  // Its top-K is the largest PA-LoC any fraction reads on any training
+  // design, so every pa_pick below reads a prefix of a full ranking.
   TrainedModel vmodel;
   vmodel.config = config;
   vmodel.feat_idx = feature_indices(config.features);
-  vmodel.filter = PairFilter{};
-  if (config.improved) {
-    vmodel.filter.neighborhood =
-        neighborhood_radius(training, config.neighborhood_percentile);
+  vmodel.filter = pair_filter_for(training, config);
+  const double max_fraction =
+      *std::max_element(opt.fractions.begin(), opt.fractions.end());
+  vmodel.config.top_k = 1;
+  for (const splitmfg::SplitChallenge* ch : training) {
+    vmodel.config.top_k = std::max(
+        vmodel.config.top_k, pa_loc_size(max_fraction, ch->num_vpins()));
   }
-  vmodel.filter.limit_top_direction = config.limit_top_direction;
-  vmodel.filter.top_metal_horizontal = config.top_metal_horizontal;
   {
     SamplingOptions sopt;
     sopt.filter = vmodel.filter;
@@ -117,13 +124,10 @@ PAOutcome validated_proximity_attack(
     sopt.normalize_distances = config.normalize_distances;
     const ml::Dataset data =
         make_training_set(training, config.features, sopt);
-    const ml::BaggingOptions bopt =
-        config.use_random_forest
-            ? ml::BaggingOptions::random_forest(data.num_features(),
-                                                config.seed + 1)
-            : ml::BaggingOptions::reptree_bagging(config.seed + 1);
-    vmodel.classifier = ml::BaggingClassifier::train(data, bopt);
+    vmodel.classifier = ml::BaggingClassifier::train(
+        data, ensemble_options(config, data.num_features(), config.seed + 1));
   }
+  const ml::FlatForest forest = ml::FlatForest::build(vmodel.classifier);
 
   // Run PA on the held-out 20% of each training challenge for every
   // candidate fraction.
@@ -133,9 +137,6 @@ PAOutcome validated_proximity_attack(
     const splitmfg::SplitChallenge& ch = *training[ci];
     const std::size_t off = offsets[ci];
     const int n = ch.num_vpins();
-    std::vector<int> good(opt.fractions.size(), 0);
-    int total = 0;
-    std::vector<Candidate> top;
     // Held-out v-pins eligible for validation PA, capped for scalability.
     std::vector<int> held_out;
     for (int v = 0; v < n; ++v) {
@@ -143,48 +144,30 @@ PAOutcome validated_proximity_attack(
       if (ch.vpin(v).matches.empty()) continue;
       held_out.push_back(v);
     }
+    if (held_out.empty()) continue;
     if (opt.max_validation_vpins > 0 &&
         static_cast<int>(held_out.size()) > opt.max_validation_vpins) {
       std::shuffle(held_out.begin(), held_out.end(), rng);
       held_out.resize(static_cast<std::size_t>(opt.max_validation_vpins));
+      std::sort(held_out.begin(), held_out.end());
     }
-    // Candidates per held-out v-pin come from the spatial index instead
-    // of an all-pairs sweep; predict_pair re-checks admits, which is
-    // exactly the predicate the index enumerated by.
-    const CandidateIndex index(ch);
-    std::vector<splitmfg::VpinId> cand;
+    const AttackResult res = AttackEngine::test(vmodel, forest, ch, held_out);
+    std::vector<int> good(opt.fractions.size(), 0);
     for (int v : held_out) {
-      const splitmfg::Vpin& vp = ch.vpin(v);
-      ++total;
-      top.clear();
-      const double scale = vmodel.scale_for(ch);
-      cand.clear();
-      index.collect(v, vmodel.filter, cand);
-      for (splitmfg::VpinId w : cand) {
-        const auto p = vmodel.predict_pair(vp, ch.vpin(w), scale);
-        if (!p) continue;
-        top.push_back(Candidate{static_cast<splitmfg::VpinId>(w),
-                                static_cast<float>(*p),
-                                detail::candidate_distance(vp, ch.vpin(w))});
-      }
-      // `top` keeps its capacity for the next v-pin; the ranked list is
-      // a copy at its exact size.
-      const std::vector<Candidate> ranked =
-          detail::select_top(top, static_cast<int>(top.size()));
+      const std::vector<Candidate>& top =
+          res.per_vpin()[static_cast<std::size_t>(v)].top;
       for (std::size_t fi = 0; fi < opt.fractions.size(); ++fi) {
-        const int k = std::max(
-            1, static_cast<int>(std::lround(opt.fractions[fi] * n)));
-        const splitmfg::VpinId pick = pa_pick(ranked, k);
+        const splitmfg::VpinId pick =
+            pa_pick(top, pa_loc_size(opt.fractions[fi], n));
         if (pick != splitmfg::kInvalidVpin && ch.is_match(v, pick)) {
           ++good[fi];
         }
       }
     }
-    if (total > 0) {
-      ++num_benchmarks;
-      for (std::size_t fi = 0; fi < opt.fractions.size(); ++fi) {
-        success[fi] += static_cast<double>(good[fi]) / total;
-      }
+    ++num_benchmarks;
+    const auto total = static_cast<double>(held_out.size());
+    for (std::size_t fi = 0; fi < opt.fractions.size(); ++fi) {
+      success[fi] += good[fi] / total;
     }
   }
 

@@ -1,10 +1,9 @@
 #include "core/two_level.hpp"
 
-#include <algorithm>
+#include <numeric>
 #include <random>
 
 #include "common/clock.hpp"
-#include "core/candidate_index.hpp"
 
 namespace repro::core {
 
@@ -17,10 +16,11 @@ TwoLevelResult two_level_attack(
 
   // Level 1.
   const TrainedModel l1 = AttackEngine::train(training, config);
+  const ml::FlatForest f1 = ml::FlatForest::build(l1.classifier);
 
   // Generate the Level-2 training set from the Level-1 LoCs of the
   // *training* designs (never the target).
-  const std::vector<int> idx = feature_indices(config.features);
+  const std::vector<int>& idx = l1.feat_idx;
   std::vector<std::string> names;
   for (int i : idx) {
     names.push_back(feature_names()[static_cast<std::size_t>(i)]);
@@ -30,7 +30,7 @@ TwoLevelResult two_level_attack(
   // Every feature row uses the level-1 model's distance scale, as the
   // engine does: the level-2 model trains and scores on the same rows.
   for (const splitmfg::SplitChallenge* ch : training) {
-    const AttackResult res = AttackEngine::test(l1, *ch);
+    const AttackResult res = AttackEngine::test(l1, f1, *ch);
     const double scale = l1.scale_for(*ch);
     for (int v = 0; v < ch->num_vpins(); ++v) {
       const splitmfg::Vpin& vp = ch->vpin(v);
@@ -57,84 +57,24 @@ TwoLevelResult two_level_attack(
     }
   }
 
-  const ml::BaggingOptions bopt =
-      config.use_random_forest
-          ? ml::BaggingOptions::random_forest(l2_data.num_features(),
-                                              config.seed + 2)
-          : ml::BaggingOptions::reptree_bagging(config.seed + 2);
-  const ml::BaggingClassifier l2 = ml::BaggingClassifier::train(l2_data, bopt);
-
-  // Test the target with both levels in one pass.
+  // Level 2 keeps level 1's configuration, filter and features; only its
+  // trees differ. On the target it scores just the pairs level 1 admits
+  // at the threshold (the gate); every other pair is pruned.
+  TrainedModel l2;
+  l2.config = l1.config;
+  l2.feat_idx = l1.feat_idx;
+  l2.filter = l1.filter;
+  l2.classifier = ml::BaggingClassifier::train(
+      l2_data,
+      ensemble_options(config, l2_data.num_features(), config.seed + 2));
+  std::vector<int> all(static_cast<std::size_t>(target.num_vpins()));
+  std::iota(all.begin(), all.end(), 0);
+  const Level1Gate gate{f1, level1_threshold};
   TwoLevelResult out{
-      AttackResult(target.design_name, target.split_layer, config.hist_bins),
-      AttackResult(target.design_name, target.split_layer, config.hist_bins),
+      AttackEngine::test(l1, f1, target, all),
+      AttackEngine::test(l2, ml::FlatForest::build(l2.classifier), target,
+                         all, &gate),
       level1_threshold, l2_data.num_rows(), 0};
-
-  auto init_result = [&](AttackResult& r) {
-    auto& pv = r.mutable_per_vpin();
-    pv.resize(static_cast<std::size_t>(target.num_vpins()));
-    for (std::size_t i = 0; i < pv.size(); ++i) {
-      pv[i].has_match = !target.vpins[i].matches.empty();
-      pv[i].hist.assign(static_cast<std::size_t>(config.hist_bins), 0);
-    }
-  };
-  init_result(out.level1);
-  init_result(out.pruned);
-
-  const auto bin_of = [&](double p) {
-    return detail::bin_index(p, config.hist_bins);
-  };
-  const auto record = [&](AttackResult& res, int self, int other, double p,
-                          float d, bool matched) {
-    VpinResult& r = res.mutable_per_vpin()[static_cast<std::size_t>(self)];
-    ++r.num_evaluated;
-    ++r.hist[static_cast<std::size_t>(bin_of(p))];
-    r.top.push_back({static_cast<splitmfg::VpinId>(other),
-                     static_cast<float>(p), d});  // selected later
-    if (matched && p > r.p_true) {
-      r.p_true = static_cast<float>(p);
-      r.d_true = d;
-    }
-  };
-
-  // Candidate pairs come from the spatial index (each unordered admitted
-  // pair once, via the ascending-id contract: only j > i is kept).
-  const int n = target.num_vpins();
-  const double scale = l1.scale_for(target);
-  const CandidateIndex index(target);
-  std::vector<double> x(idx.size());
-  std::vector<splitmfg::VpinId> cand;
-  for (int i = 0; i < n; ++i) {
-    const splitmfg::Vpin& vi = target.vpin(i);
-    cand.clear();
-    index.collect(i, l1.filter, cand);
-    for (splitmfg::VpinId j : cand) {
-      if (j <= i) continue;  // unordered pairs once
-      const splitmfg::Vpin& vj = target.vpin(j);
-      const auto full = pair_features(vi, vj, scale);
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        x[k] = full[static_cast<std::size_t>(idx[k])];
-      }
-      const double p1 = l1.classifier.predict_proba(x);
-      const float d = detail::candidate_distance(vi, vj);
-      const bool matched = target.is_match(i, j);
-      record(out.level1, i, j, p1, d, matched);
-      record(out.level1, j, i, p1, d, matched);
-      if (p1 >= level1_threshold) {
-        const double p2 = l2.predict_proba(x);
-        record(out.pruned, i, j, p2, d, matched);
-        record(out.pruned, j, i, p2, d, matched);
-      }
-    }
-  }
-
-  for (AttackResult* res : {&out.level1, &out.pruned}) {
-    for (VpinResult& r : res->mutable_per_vpin()) {
-      r.top = detail::select_top(r.top, config.top_k);
-    }
-    res->finalize();
-  }
-
   out.total_seconds = common::steady_seconds() - t0;
   return out;
 }

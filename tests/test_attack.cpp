@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "common/obs.hpp"
@@ -133,14 +135,11 @@ TEST_F(AttackOnSynthetic, TrainedModelPredictPairAgreesWithFilter) {
   ASSERT_TRUE(model.filter.neighborhood.has_value());
   const auto& a = challenges_[0].vpin(0);
   const auto& b = challenges_[0].vpin(1);  // the true match, 8000 away
-  const auto p = model.predict_pair(a, b);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_GE(*p, 0.0);
-  EXPECT_LE(*p, 1.0);
+  EXPECT_TRUE(model.filter.admits(a, b));
   // A pair far outside the neighbourhood is filtered.
   splitmfg::Vpin far = b;
   far.pos.x = a.pos.x + 90000;
-  EXPECT_FALSE(model.predict_pair(a, far).has_value());
+  EXPECT_FALSE(model.filter.admits(a, far));
 }
 
 TEST_F(AttackOnSynthetic, TradeoffCurveIsMonotone) {
@@ -256,6 +255,80 @@ TEST_F(AttackPairOnce, PooledScoringPredictsEachPairOnce) {
   const auto [inline_pairs, inline_rows] = count(true);
   EXPECT_EQ(inline_pairs, pairs);
   EXPECT_EQ(inline_rows, pairs) << "an inline call predicts every pair";
+}
+
+// --- explicit targets and the level-1 gate -----------------------------------
+
+TEST_F(AttackOnSynthetic, ExplicitTargetsAreExactlyTheTestedSet) {
+  const TrainedModel model =
+      AttackEngine::train(training_, config_from_name("Imp-9"));
+  const ml::FlatForest forest = ml::FlatForest::build(model.classifier);
+  const splitmfg::SplitChallenge& ch = challenges_[0];
+  const std::vector<int> targets{1, 5, 7, 40};
+  const AttackResult res = AttackEngine::test(model, forest, ch, targets);
+  for (int v = 0; v < ch.num_vpins(); ++v) {
+    const bool listed =
+        std::find(targets.begin(), targets.end(), v) != targets.end();
+    const VpinResult& r = res.per_vpin()[static_cast<std::size_t>(v)];
+    EXPECT_EQ(r.tested, listed) << "v-pin " << v;
+    EXPECT_EQ(r.num_evaluated > 0, listed) << "v-pin " << v;
+  }
+  for (const std::vector<int>& bad :
+       {std::vector<int>{5, 1}, std::vector<int>{3, 3}, std::vector<int>{-1},
+        std::vector<int>{ch.num_vpins()}}) {
+    EXPECT_THROW(AttackEngine::test(model, forest, ch, bad),
+                 std::invalid_argument);
+  }
+}
+
+// The gate prunes a pair whose level-1 p is below its threshold, in the
+// pair store of a pooled call and in an inline call alike. At threshold 0
+// it prunes nothing; above 1 it prunes every pair.
+class AttackLevel1Gate : public AttackPairOnce {
+ protected:
+  void SetUp() override {
+    AttackPairOnce::SetUp();
+    AttackConfig cfg = config_from_name("Imp-9");
+    model_ = AttackEngine::train(training_, cfg);
+    cfg.seed = 2;
+    level1_ = AttackEngine::train(training_, cfg);
+    forest_ = ml::FlatForest::build(model_.classifier);
+    level1_forest_ = ml::FlatForest::build(level1_.classifier);
+    for (int v = 0; v < challenges_[0].num_vpins(); ++v) all_.push_back(v);
+  }
+  /// test() on every v-pin of challenge 0, pooled on 3 threads or inline.
+  AttackResult gated(const Level1Gate* gate, bool inline_call) {
+    common::set_global_threads(3);
+    std::optional<common::ScopedInline> guard;
+    if (inline_call) guard.emplace();
+    return AttackEngine::test(model_, forest_, challenges_[0], all_, gate);
+  }
+  TrainedModel model_, level1_;
+  ml::FlatForest forest_, level1_forest_;
+  std::vector<int> all_;
+};
+
+TEST_F(AttackLevel1Gate, ThresholdZeroEqualsTheUngatedCall) {
+  const Level1Gate gate{level1_forest_, 0.0};
+  for (const bool inline_call : {false, true}) {
+    EXPECT_TRUE(testing::same_result(gated(nullptr, inline_call),
+                                     gated(&gate, inline_call)))
+        << (inline_call ? "inline" : "pooled");
+  }
+}
+
+TEST_F(AttackLevel1Gate, ThresholdAboveOnePrunesEveryPair) {
+  const Level1Gate gate{level1_forest_, 1.5};
+  for (const bool inline_call : {false, true}) {
+    const AttackResult res = gated(&gate, inline_call);
+    for (const VpinResult& r : res.per_vpin()) {
+      EXPECT_EQ(r.num_evaluated, 0);
+      EXPECT_TRUE(r.top.empty());
+      EXPECT_EQ(r.p_true, -1.0f);
+      EXPECT_EQ(std::count(r.hist.begin(), r.hist.end(), 0u),
+                static_cast<std::ptrdiff_t>(r.hist.size()));
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "common/telemetry.hpp"
@@ -41,12 +42,6 @@ void write_file(const std::string& path, const std::string& text) {
   fs::create_directories(fs::path(path).parent_path());
   std::ofstream f(path, std::ios::binary);
   f << text;
-}
-
-double wall_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 TEST(MetricsRollup, SumsCountersAndHistogramBucketsAndDropsGauges) {
@@ -233,7 +228,7 @@ TEST(ScanCampaignDir, ReadsShardTableTelemetryAndRollup) {
              "\"requests\": 4, \"failures\": 3}, "
              "{\"endpoint\": \"127.0.0.1:9002\", \"state\": \"closed\", "
              "\"requests\": 3, \"failures\": 0}]}}");
-  const double now = wall_now_s();
+  const double now = repro::common::wall_seconds();
   obs::TelemetryRecord rec;
   rec.kind = "final";
   rec.seq = 3;
@@ -373,7 +368,7 @@ TEST(ScanCampaignDir, FlagsRunningShardWithFrozenProgressAsStalled) {
   write_file(dir + "/campaign.json",
              "{\"shards\": [{\"id\": \"L6_f0\", \"layer\": 6, \"fold\": 0, "
              "\"status\": \"running\", \"attempts\": 1}]}");
-  const double now = wall_now_s();
+  const double now = repro::common::wall_seconds();
   // Heartbeats keep arriving (recent t) but progress froze long ago —
   // the hung-not-slow signature.
   std::string log;
@@ -425,7 +420,7 @@ TEST(CampaignWatcher, ReusesCachedSnapshotUntilAFileChanges) {
   rec.kind = "heartbeat";
   rec.seq = 1;
   rec.pid = 100;
-  rec.t = wall_now_s();
+  rec.t = repro::common::wall_seconds();
   rec.progress = 10;
   write_file(dir + "/shards/L6_f0/telemetry.jsonl", rec.to_json() + "\n");
 
@@ -450,7 +445,7 @@ TEST(CampaignWatcher, ReusesCachedSnapshotUntilAFileChanges) {
   // A telemetry append (what a live worker does) forces a rescan and
   // the new progress is visible.
   rec.seq = 2;
-  rec.t = wall_now_s();
+  rec.t = repro::common::wall_seconds();
   rec.progress = 20;
   std::ofstream(dir + "/shards/L6_f0/telemetry.jsonl",
                 std::ios::app | std::ios::binary)
@@ -471,7 +466,7 @@ TEST(CampaignWatcher, CachedSnapshotStillRefreshesVolatileAges) {
   rec.kind = "heartbeat";
   rec.seq = 1;
   rec.pid = 100;
-  rec.t = wall_now_s();
+  rec.t = repro::common::wall_seconds();
   rec.progress = 10;
   write_file(dir + "/shards/L6_f0/telemetry.jsonl", rec.to_json() + "\n");
 

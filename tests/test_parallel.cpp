@@ -21,8 +21,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/parallel.hpp"
 #include "core/cross_validation.hpp"
+#include "core/proximity.hpp"
+#include "core/resilience.hpp"
+#include "core/two_level.hpp"
 #include "ml/bagging.hpp"
 #include "test_helpers.hpp"
 
@@ -735,6 +739,41 @@ TEST_F(AttackThreadInvariance, TargetSampledRunsMatchToo) {
   expect_thread_invariant<core::AttackResult>(
       [&] { return core::AttackEngine::run(challenges_[0], training, cfg); },
       same_result, "sampled attack result");
+}
+
+// Two-level pruning and PA validation score through the engine's pool:
+// both two-level digests and the PA outcome (fraction, curve and rate,
+// by bit pattern) match at every pool size and inline.
+TEST_F(AttackThreadInvariance, TwoLevelAndPaValidationMatch) {
+  const std::vector<const splitmfg::SplitChallenge*> training{
+      &challenges_[1], &challenges_[2]};
+  const core::AttackConfig cfg = core::config_from_name("Imp-11");
+  const auto run = [&] {
+    const core::TwoLevelResult two =
+        core::two_level_attack(challenges_[0], training, cfg);
+    const core::AttackResult res =
+        core::AttackEngine::run(challenges_[0], training, cfg);
+    const core::PAOutcome pa = core::validated_proximity_attack(
+        res, challenges_[0], training, cfg);
+    common::BinaryWriter w;
+    w.u64(core::result_digest(two.level1));
+    w.u64(core::result_digest(two.pruned));
+    w.f64(pa.best_fraction);
+    for (const auto& [fraction, success] : pa.validation_curve) {
+      w.f64(fraction);
+      w.f64(success);
+    }
+    w.f64(pa.success_rate);
+    return w.buffer();
+  };
+  common::set_global_threads(1);
+  const std::string baseline = run();
+  for (const int threads : {3, 4}) {
+    common::set_global_threads(threads);
+    EXPECT_EQ(run(), baseline) << "differs at " << threads << " threads";
+  }
+  const common::ScopedInline guard;
+  EXPECT_EQ(run(), baseline) << "differs under ScopedInline";
 }
 
 TEST_F(AttackThreadInvariance, LeaveOneOutSuiteMatches) {
