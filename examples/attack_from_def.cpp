@@ -15,9 +15,26 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 
+#include "common/diagnostics.hpp"
 #include "core/pipeline.hpp"
 #include "lefdef/lefdef.hpp"
+
+namespace {
+
+/// Parses one DEF of the exchange, printing its diagnostics if it fails.
+repro::common::StatusOr<repro::lefdef::DefDesign> parse_def(
+    const std::filesystem::path& path,
+    std::shared_ptr<const repro::netlist::Library> lib) {
+  repro::common::DiagnosticSink sink(path.string());
+  std::ifstream in(path);
+  auto def = repro::lefdef::read_def(in, std::move(lib), sink);
+  if (!def.ok()) sink.print(std::cerr);
+  return def;
+}
+
+}  // namespace
 
 int main() {
   using namespace repro;
@@ -53,18 +70,24 @@ int main() {
 
   // ---- attacker side ------------------------------------------------------
   std::printf("attacker: parsing LEF/DEF files...\n");
+  common::DiagnosticSink lef_sink((dir / "tech.lef").string());
   std::ifstream lef_in(dir / "tech.lef");
-  const lefdef::LefContents lef = lefdef::read_lef(lef_in);
-  auto lib = std::make_shared<const netlist::Library>(std::move(lef.lib));
+  common::StatusOr<lefdef::LefContents> lef =
+      lefdef::read_lef(lef_in, lef_sink);
+  if (!lef.ok()) {
+    lef_sink.print(std::cerr);
+    return 1;
+  }
+  auto lib = std::make_shared<const netlist::Library>(std::move(lef->lib));
 
   std::vector<splitmfg::SplitChallenge> training;
   for (const char* name : {"sb5", "sb18"}) {
-    std::ifstream def_in(dir / (std::string(name) + ".def"));
-    const lefdef::DefDesign def = lefdef::read_def(def_in, lib);
+    const auto def = parse_def(dir / (std::string(name) + ".def"), lib);
+    if (!def.ok()) return 1;
     const route::RouteDB db =
-        lefdef::to_route_db(def, lef.tech.gcell_size());
+        lefdef::to_route_db(*def, lef->tech.gcell_size());
     training.push_back(
-        splitmfg::make_challenge(def.netlist, db, split_layer));
+        splitmfg::make_challenge(def->netlist, db, split_layer));
     std::printf("  training design %s: %d v-pins\n", name,
                 training.back().num_vpins());
   }
@@ -76,14 +99,14 @@ int main() {
   const auto victim_full = splitmfg::make_challenge(
       *designs[0].netlist, designs[0].routes, split_layer);
   {
-    std::ifstream def_in(dir / "victim_feol.def");
-    const lefdef::DefDesign feol = lefdef::read_def(def_in, lib);
+    const auto feol = parse_def(dir / "victim_feol.def", lib);
+    if (!feol.ok()) return 1;
     long feol_vias = 0;
-    for (const auto& nr : feol.routes) {
+    for (const auto& nr : feol->routes) {
       feol_vias += static_cast<long>(nr.vias.size());
     }
     std::printf("attacker: victim FEOL parsed, %d cells, %ld vias kept\n",
-                feol.netlist.num_cells(), feol_vias);
+                feol->netlist.num_cells(), feol_vias);
   }
 
   std::vector<const splitmfg::SplitChallenge*> train_ptrs;

@@ -12,9 +12,12 @@
 # arithmetic), and the bookkeeping after scoring: the top-K radix sort
 # (TopK, and the engine's ranked lists as two-level pruning in TwoLevel
 # and PA validation in ProximityAttack read them) and result_digest's
-# zero-run skipping (ResultDigest). Any sanitizer
-# finding aborts the run (-fno-sanitize-recover=all) and fails the
-# script.
+# zero-run skipping (ResultDigest), and candidate collection
+# (CandidateIndex, IndexScan, DifferentialCollect): the AVX2 sweeps and
+# the track scan store a full 8-lane vector at the output cursor, into
+# the kScanSlack slots collect reserves past the worst-case count. Any
+# sanitizer finding aborts the run (-fno-sanitize-recover=all) and fails
+# the script.
 #
 # Usage: scripts/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
@@ -28,6 +31,6 @@ export ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1
 export UBSAN_OPTIONS=print_stacktrace=1
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir|CampaignTable|Telemetry|ResultDigest|TopK|TwoLevel|FlatForest|ProximityAttack' "$@"
+  -R 'Lef|Def|FaultInjection|BatchIsolation|Validate|BinIo|ArtifactEnvelope|AtomicWrite|Checkpoint|Resilience|MlSerialize|Degradation|RrrWatchdog|Simd|Http|ArtifactCache|AttackServer|CircuitBreaker|RemoteCampaign|DecisionTree|TreeSeedSweep|Bagging|CliFlags|JsonScan|ScanCampaignDir|CampaignTable|Telemetry|ResultDigest|TopK|TwoLevel|FlatForest|ProximityAttack|CandidateIndex|IndexScan|DifferentialCollect' "$@"
 
 echo "sanitizer check passed"

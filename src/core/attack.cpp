@@ -371,22 +371,12 @@ AttackResult AttackEngine::test(const TrainedModel& model,
   const auto bin_of = [bins](double p) { return detail::bin_index(p, bins); };
   const double scale = model.scale_for(challenge);
 
-  // Candidate enumeration is output-sensitive by default: the spatial
-  // index yields exactly the admitted candidates of each target, in the
-  // same ascending-id order the brute-force scan produces, so the two
-  // paths are digest-identical (tests/test_candidate_index.cpp).
-  std::optional<CandidateIndex> index;
-  if (model.config.use_candidate_index) index.emplace(challenge);
+  // The spatial index yields exactly the candidates PairFilter::admits
+  // would, in ascending-id order (tests/test_candidate_index.cpp).
+  const CandidateIndex index(challenge);
   const auto collect = [&](int self, std::vector<splitmfg::VpinId>& out) {
     out.clear();
-    if (index) return index->collect(self, model.filter, out);
-    for (int j = 0; j < n; ++j) {
-      if (j != self && model.filter.admits(challenge.vpin(std::min(self, j)),
-                                           challenge.vpin(std::max(self, j)))) {
-        out.push_back(j);
-      }
-    }
-    return std::size_t{0};
+    return index.collect(self, model.filter, out);
   };
   // Operand order is canonicalized by v-pin index before feature
   // extraction, so a pair's p is bit-identical whichever endpoint asks,
@@ -678,22 +668,13 @@ AttackResult AttackEngine::test(const TrainedModel& model,
     OBS_COUNT("attack.forest_rows", rows);
     OBS_COUNT("attack.targets_scored", targets.size());
     OBS_COUNT("attack.vpins_seen", n);
-    if (index) {
-      // Output-sensitivity of the index: candidates_yielded is what the
-      // model scored, candidates_scanned what the grid/track buckets
-      // visited to find them (the gap is the residual filter work).
-      std::uint64_t visited = 0;
-      for (std::size_t s : scanned) visited += s;
-      OBS_COUNT("index.candidates_yielded", pairs);
-      OBS_COUNT("index.candidates_scanned", visited);
-    } else if (!targets.empty()) {
-      // Brute-force path: everything enumerated beyond the admitted
-      // candidates was rejected by PairFilter::admits.
-      const std::uint64_t enumerated =
-          static_cast<std::uint64_t>(targets.size()) *
-          static_cast<std::uint64_t>(n > 0 ? n - 1 : 0);
-      OBS_COUNT("attack.pairs_rejected", enumerated - pairs);
-    }
+    // Output-sensitivity of the index: candidates_yielded is what the
+    // model scored, candidates_scanned what the index visited to find
+    // them (the gap is the residual filter work).
+    std::uint64_t visited = 0;
+    for (std::size_t s : scanned) visited += s;
+    OBS_COUNT("index.candidates_yielded", pairs);
+    OBS_COUNT("index.candidates_scanned", visited);
     static constexpr double kPEdges[] = {0.1, 0.2, 0.3, 0.4, 0.5,
                                          0.6, 0.7, 0.8, 0.9};
     auto& p_true_hist = common::obs::histogram("attack.p_true", kPEdges);

@@ -59,11 +59,6 @@ struct AttackConfig {
   /// this many rows before training (tens of thousands of balanced samples
   /// saturate an 11-feature tree ensemble). 0 = use everything.
   int max_train_samples = 0;
-  /// Enumerate test candidates through the spatial CandidateIndex
-  /// (output-sensitive, the default) instead of the brute-force all-pairs
-  /// scan. Results are bit-identical either way — the flag exists for the
-  /// differential equivalence test and for benchmarking the index.
-  bool use_candidate_index = true;
   /// If > 0, caps the ensemble at this many trees (the first rung of the
   /// budget degradation ladder, core/resilience.hpp). 0 = the preset's
   /// default count (10 for bagged REPTrees, 100 for RandomForest).

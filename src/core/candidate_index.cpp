@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/obs.hpp"
 #include "common/simd.hpp"
@@ -28,6 +29,43 @@ geom::Dbu radius_dbu(double r) {
   return static_cast<geom::Dbu>(std::ceil(std::min(std::max(r, 0.0), 1e18)));
 }
 
+// The AVX2 sweeps store a full 8-lane vector at the cursor, so callers
+// reserve kScanSlack slots past the worst-case count.
+constexpr std::size_t kScanSlack = 8;
+
+/// Dense Manhattan-ball sweep of ids [lo, hi): emits w where
+/// |ax - xs[w]| + |ay - ys[w]| <= r and !(a_mask & drv[w]), writing at
+/// dst[k]; returns the advanced cursor. Count-write compaction: the id is
+/// always stored and the cursor advances only when it is admitted, so the
+/// data-dependent admit decision never becomes a mispredicted branch.
+std::size_t sweep_ball(const double* xs, const double* ys,
+                       const std::uint8_t* drv, std::int32_t lo,
+                       std::int32_t hi, double ax, double ay, double r,
+                       unsigned a_mask, std::int32_t* dst, std::size_t k) {
+  for (std::int32_t w = lo; w < hi; ++w) {
+    const double d = std::abs(ax - xs[w]) + std::abs(ay - ys[w]);
+    dst[k] = w;
+    k += static_cast<unsigned>(d <= r) & (1u - (a_mask & drv[w]));
+  }
+  return k;
+}
+
+/// Track scan over `count` SoA entries (one equal_range worth): emits the
+/// ids other than v where !(a_mask & drv) and |a_other - other| + 0.0 <= r
+/// (on-track pairs differ only in `other`, so that is manhattan_vpin's
+/// sum with a zero term). Returns the number emitted at dst.
+std::size_t scan_track(const double* other, const std::uint8_t* drv,
+                       const std::int32_t* ids, std::size_t count,
+                       double a_other, double r, unsigned a_mask,
+                       std::int32_t v, std::int32_t* dst) {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double d = std::abs(a_other - other[i]) + 0.0;
+    if (ids[i] != v && !(a_mask & drv[i]) && d <= r) dst[k++] = ids[i];
+  }
+  return k;
+}
+
 #if defined(REPRO_SIMD_X86)
 
 /// True when the AVX2 scan kernels below should run. active() is already
@@ -36,16 +74,14 @@ bool use_avx2() {
   return common::simd::active() == common::simd::Level::kAvx2;
 }
 
-// The three scan kernels share one shape: an 8-wide admit mask (double
-// range compares packed down to 4x32 lane masks, legality from the 0/1
-// drives bytes, an id != v exclusion where the range can contain v), then
-// a left-packing compress-emit of the admitted i32 ids through
-// compress8_table(). Arithmetic is the exact double |dx| (+ |dy|) <= r
-// of the scalar paths — abs via sign-bit clear, ordered compares — so
-// the admitted set and its ascending order are identical; only the
-// emit width changes. Stores write a full 8-lane vector at the cursor,
-// so callers reserve kScanSlack extra slots past the worst-case count.
-constexpr std::size_t kScanSlack = 8;
+// Both kernels share one shape: an 8-wide admit mask (double range
+// compares packed down to 4x32 lane masks, legality from the 0/1 drives
+// bytes, an id != v exclusion where the range can contain v), then a
+// left-packing compress-emit of the admitted i32 ids through
+// compress8_table(). Arithmetic is the exact double |dx| (+ |dy|) <= r of
+// the scalar scans above — abs via sign-bit clear, ordered compares —
+// which also finish each range's tail, so the admitted set and its
+// ascending order are identical; only the emit width changes.
 
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -57,40 +93,7 @@ __attribute__((target("avx2"))) inline __m128i pack_mask_pd(__m256d m) {
       _mm256_permutevar8x32_epi32(_mm256_castpd_si256(m), pick));
 }
 
-/// Legality-only scan of ids [lo, hi): emits w where !(a_mask & drv[w]),
-/// writing at dst[k]; returns the advanced cursor.
-__attribute__((target("avx2")))
-std::size_t scan_legal_avx2(const std::uint8_t* drv, std::int32_t lo,
-                            std::int32_t hi, unsigned a_mask,
-                            std::int32_t* dst, std::size_t k) {
-  const auto& table = common::simd::compress8_table();
-  const __m256i zero = _mm256_setzero_si256();
-  // a_mask == 0 admits everything regardless of the drives byte.
-  const __m256i legal_force = _mm256_set1_epi32(a_mask ? 0 : -1);
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  std::int32_t w = lo;
-  for (; w + 8 <= hi; w += 8) {
-    const __m256i drv32 = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(drv + w)));
-    const __m256i admit =
-        _mm256_or_si256(_mm256_cmpeq_epi32(drv32, zero), legal_force);
-    const int m = _mm256_movemask_ps(_mm256_castsi256_ps(admit));
-    const __m256i ids = _mm256_add_epi32(iota, _mm256_set1_epi32(w));
-    const __m256i perm = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(table[static_cast<unsigned>(m)]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + k),
-                        _mm256_permutevar8x32_epi32(ids, perm));
-    k += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-  }
-  for (; w < hi; ++w) {
-    dst[k] = w;
-    k += 1u - (a_mask & drv[w]);
-  }
-  return k;
-}
-
-/// Dense Manhattan-ball sweep of ids [lo, hi): emits w where
-/// |ax - xs[w]| + |ay - ys[w]| <= r and !(a_mask & drv[w]).
+/// sweep_ball, eight ids at a time.
 __attribute__((target("avx2")))
 std::size_t sweep_ball_avx2(const double* xs, const double* ys,
                             const std::uint8_t* drv, std::int32_t lo,
@@ -131,17 +134,10 @@ std::size_t sweep_ball_avx2(const double* xs, const double* ys,
                         _mm256_permutevar8x32_epi32(ids, perm));
     k += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(m)));
   }
-  for (; w < hi; ++w) {
-    const double d = std::abs(ax - xs[w]) + std::abs(ay - ys[w]);
-    dst[k] = w;
-    k += static_cast<unsigned>(d <= r) & (1u - (a_mask & drv[w]));
-  }
-  return k;
+  return sweep_ball(xs, ys, drv, w, hi, ax, ay, r, a_mask, dst, k);
 }
 
-/// Track scan over `count` SoA entries (one equal_range worth): emits
-/// entry ids where id != v, !(a_mask & drv) and |a_other - other| <= r.
-/// Pass r = +infinity for "no neighbourhood restriction".
+/// scan_track, eight entries at a time.
 __attribute__((target("avx2")))
 std::size_t scan_track_avx2(const double* other, const std::uint8_t* drv,
                             const std::int32_t* ids, std::size_t count,
@@ -179,14 +175,8 @@ std::size_t scan_track_avx2(const double* other, const std::uint8_t* drv,
                         _mm256_permutevar8x32_epi32(idv, perm));
     k += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(m)));
   }
-  for (; i < count; ++i) {
-    const std::int32_t id = ids[i];
-    if (id == v) continue;
-    if (a_mask & drv[i]) continue;
-    if (std::abs(a_other - other[i]) > r) continue;
-    dst[k++] = id;
-  }
-  return k;
+  return k + scan_track(other + i, drv + i, ids + i, count - i, a_other, r,
+                        a_mask, v, dst + k);
 }
 
 #pragma GCC diagnostic pop
@@ -196,12 +186,13 @@ std::size_t scan_track_avx2(const double* other, const std::uint8_t* drv,
 }  // namespace
 
 CandidateIndex::CandidateIndex(const splitmfg::SplitChallenge& ch)
-    : ch_(&ch), n_(ch.num_vpins()) {
+    : n_(ch.num_vpins()) {
   OBS_SPAN("index.build");
   if (n_ == 0) {
     bucket_start_.assign(2, 0);
     return;
   }
+  const std::size_t n = static_cast<std::size_t>(n_);
 
   geom::Dbu max_x = ch.vpins[0].pos.x, max_y = ch.vpins[0].pos.y;
   origin_x_ = max_x;
@@ -227,11 +218,11 @@ CandidateIndex::CandidateIndex(const splitmfg::SplitChallenge& ch)
   for (std::size_t b = 1; b < bucket_start_.size(); ++b) {
     bucket_start_[b] += bucket_start_[b - 1];
   }
-  bucket_ids_.resize(static_cast<std::size_t>(n_));
-  bucket_recs_.resize(static_cast<std::size_t>(n_));
-  xs_.reserve(static_cast<std::size_t>(n_));
-  ys_.reserve(static_cast<std::size_t>(n_));
-  drv_.reserve(static_cast<std::size_t>(n_));
+  bucket_ids_.resize(n);
+  bucket_recs_.resize(n);
+  xs_.reserve(n);
+  ys_.reserve(n);
+  drv_.reserve(n);
   std::vector<std::int32_t> cursor(bucket_start_.begin(),
                                    bucket_start_.end() - 1);
   for (const splitmfg::Vpin& v : ch.vpins) {
@@ -245,148 +236,104 @@ CandidateIndex::CandidateIndex(const splitmfg::SplitChallenge& ch)
     drv_.push_back(v.drives() ? 1 : 0);
   }
 
-  by_x_.reserve(static_cast<std::size_t>(n_));
-  by_y_.reserve(static_cast<std::size_t>(n_));
-  for (const splitmfg::Vpin& v : ch.vpins) {
-    by_x_.push_back({v.pos.x, v.pos.y, v.drives(), v.id});
-    by_y_.push_back({v.pos.y, v.pos.x, v.drives(), v.id});
-  }
-  std::sort(by_x_.begin(), by_x_.end());
-  std::sort(by_y_.begin(), by_y_.end());
-
-  // SoA mirrors in sorted track order for the vectorized track scan.
-  tx_other_.reserve(static_cast<std::size_t>(n_));
-  tx_drv_.reserve(static_cast<std::size_t>(n_));
-  tx_id_.reserve(static_cast<std::size_t>(n_));
-  for (const TrackEntry& e : by_x_) {
-    tx_other_.push_back(static_cast<double>(e.other));
-    tx_drv_.push_back(e.drv ? 1 : 0);
-    tx_id_.push_back(e.id);
-  }
-  ty_other_.reserve(static_cast<std::size_t>(n_));
-  ty_drv_.reserve(static_cast<std::size_t>(n_));
-  ty_id_.reserve(static_cast<std::size_t>(n_));
-  for (const TrackEntry& e : by_y_) {
-    ty_other_.push_back(static_cast<double>(e.other));
-    ty_drv_.push_back(e.drv ? 1 : 0);
-    ty_id_.push_back(e.id);
-  }
+  // Tracks: sort the (coord, id) keys once, then fill the SoA arrays in
+  // that order, so a track is one coord range with its ids ascending.
+  const auto fill = [&](Tracks& t, bool same_y) {
+    std::vector<std::pair<geom::Dbu, splitmfg::VpinId>> keys;
+    keys.reserve(n);
+    for (const splitmfg::Vpin& v : ch.vpins) {
+      keys.emplace_back(same_y ? v.pos.y : v.pos.x, v.id);
+    }
+    std::sort(keys.begin(), keys.end());
+    t.coord.reserve(n);
+    t.other.reserve(n);
+    t.drv.reserve(n);
+    t.id.reserve(n);
+    for (const auto& [coord, id] : keys) {
+      const std::size_t i = static_cast<std::size_t>(id);
+      t.coord.push_back(coord);
+      t.other.push_back(same_y ? xs_[i] : ys_[i]);
+      t.drv.push_back(drv_[i]);
+      t.id.push_back(id);
+    }
+  };
+  fill(by_x_, false);
+  fill(by_y_, true);
 }
 
+// The cell is clamped in DBU before the narrowing cast: a query corner
+// up to radius_dbu's 1e18 clamp away from the die would wrap an int.
 int CandidateIndex::cell_x(geom::Dbu x) const {
-  return geom::clamp(static_cast<int>((x - origin_x_) / bin_), 0, nx_ - 1);
+  return static_cast<int>(
+      std::clamp<geom::Dbu>((x - origin_x_) / bin_, 0, nx_ - 1));
 }
 
 int CandidateIndex::cell_y(geom::Dbu y) const {
-  return geom::clamp(static_cast<int>((y - origin_y_) / bin_), 0, ny_ - 1);
+  return static_cast<int>(
+      std::clamp<geom::Dbu>((y - origin_y_) / bin_, 0, ny_ - 1));
 }
 
 std::size_t CandidateIndex::collect(splitmfg::VpinId v,
                                     const PairFilter& filter,
                                     std::vector<splitmfg::VpinId>& out) const {
   if (filter.limit_top_direction) return collect_track(v, filter, out);
-  if (filter.neighborhood) return collect_ball(v, filter, out);
-  return collect_all(v, filter, out);
+  if (filter.neighborhood) return collect_ball(v, *filter.neighborhood, out);
+  // Unrestricted: the ball of radius +infinity, where only legality
+  // rejects. It never touches the grid.
+  return sweep(v, std::numeric_limits<double>::infinity(), out);
 }
 
-std::size_t CandidateIndex::collect_all(
-    splitmfg::VpinId v, const PairFilter& filter,
-    std::vector<splitmfg::VpinId>& out) const {
-  (void)filter;  // no geometric restriction: only legality applies
-  const std::size_t first = out.size();
-  const unsigned a_mask = drv_[static_cast<std::size_t>(v)];
-  std::size_t k = 0;
-#if defined(REPRO_SIMD_X86)
-  if (use_avx2()) {
-    out.resize(first + static_cast<std::size_t>(n_) + kScanSlack);
-    splitmfg::VpinId* dst = out.data() + first;
-    k = scan_legal_avx2(drv_.data(), 0, v, a_mask, dst, 0);
-    k = scan_legal_avx2(drv_.data(), v + 1, n_, a_mask, dst, k);
-    out.resize(first + k);
-    return static_cast<std::size_t>(n_ > 0 ? n_ - 1 : 0);
-  }
-#endif
-  out.resize(first + static_cast<std::size_t>(n_));
-  splitmfg::VpinId* dst = out.data() + first;
-  // Count-write compaction ([0,v) then (v,n) so w == v needs no test):
-  // the admitted id is always stored, the cursor only advances when the
-  // pair is legal. No data-dependent branches, so the 73%-ish admit rate
-  // of real challenges cannot stall the pipeline with mispredictions.
-  for (splitmfg::VpinId w = 0; w < v; ++w) {
-    dst[k] = w;
-    k += 1u - (a_mask & drv_[static_cast<std::size_t>(w)]);
-  }
-  for (splitmfg::VpinId w = v + 1; w < n_; ++w) {
-    dst[k] = w;
-    k += 1u - (a_mask & drv_[static_cast<std::size_t>(w)]);
-  }
-  out.resize(first + k);
-  return static_cast<std::size_t>(n_ > 0 ? n_ - 1 : 0);
-}
-
-std::size_t CandidateIndex::collect_ball(
-    splitmfg::VpinId v, const PairFilter& filter,
-    std::vector<splitmfg::VpinId>& out) const {
+std::size_t CandidateIndex::sweep(splitmfg::VpinId v, double r,
+                                  std::vector<splitmfg::VpinId>& out) const {
   const std::size_t vi = static_cast<std::size_t>(v);
   const double ax = xs_[vi], ay = ys_[vi];
   const unsigned a_mask = drv_[vi];
-  const double r = *filter.neighborhood;
+  auto* pass = &sweep_ball;
+#if defined(REPRO_SIMD_X86)
+  if (use_avx2()) pass = &sweep_ball_avx2;
+#endif
+  const std::size_t first = out.size();
+  out.resize(first + static_cast<std::size_t>(n_) + kScanSlack);
+  splitmfg::VpinId* dst = out.data() + first;
+  // [0, v) then (v, n), so w == v needs no test.
+  std::size_t k = pass(xs_.data(), ys_.data(), drv_.data(), 0, v, ax, ay, r,
+                       a_mask, dst, 0);
+  k = pass(xs_.data(), ys_.data(), drv_.data(), v + 1, n_, ax, ay, r, a_mask,
+           dst, k);
+  out.resize(first + k);
+  return static_cast<std::size_t>(n_ - 1);
+}
+
+std::size_t CandidateIndex::collect_ball(
+    splitmfg::VpinId v, double r, std::vector<splitmfg::VpinId>& out) const {
+  const std::size_t vi = static_cast<std::size_t>(v);
+  const double ax = xs_[vi], ay = ys_[vi];
+  const unsigned a_mask = drv_[vi];
   const geom::Dbu rad = radius_dbu(r);
   const geom::Dbu avx = static_cast<geom::Dbu>(ax);
   const geom::Dbu avy = static_cast<geom::Dbu>(ay);
   const int cx0 = cell_x(avx - rad), cx1 = cell_x(avx + rad);
   const int cy0 = cell_y(avy - rad), cy1 = cell_y(avy + rad);
 
+  // Wide neighbourhood radii (comparable to the die extent) make the ball
+  // cover most buckets; the dense sweep is then strictly better:
+  // sequential SoA access, no bucket bookkeeping, and no canonical-order
+  // sort because ids arrive ascending already.
+  const std::size_t covered = static_cast<std::size_t>(cx1 - cx0 + 1) *
+                              static_cast<std::size_t>(cy1 - cy0 + 1);
+  const std::size_t total = static_cast<std::size_t>(nx_) * ny_;
+  if (2 * covered >= total) return sweep(v, r, out);
+
   // The per-record test below IS admits for a ball filter: legal_pair is
   // the drives-flag conjunction, and the distance term sums |dx| and |dy|
   // in double exactly like manhattan_vpin (coordinate-to-double
   // conversion is exact below 2^53 DBU), so the comparison against r is
-  // bit-equivalent to the brute-force path.
+  // bit-equivalent to the brute-force admits scan.
   const auto admit = [&](const Rec& w) {
     const double d = std::abs(ax - static_cast<double>(w.x)) +
                      std::abs(ay - static_cast<double>(w.y));
     return d <= r && !(a_mask && w.drv);
   };
-
-  // Wide neighbourhood radii (comparable to the die extent) make the ball
-  // cover most buckets; the flat id-ordered scan is then strictly better:
-  // sequential SoA access, no bucket bookkeeping, and the canonical-order
-  // sort becomes unnecessary because ids arrive ascending already. Like
-  // collect_all, the scan compacts with a count-write instead of a
-  // data-dependent branch.
-  const std::size_t covered = static_cast<std::size_t>(cx1 - cx0 + 1) *
-                              static_cast<std::size_t>(cy1 - cy0 + 1);
-  const std::size_t total = static_cast<std::size_t>(nx_) * ny_;
-  if (2 * covered >= total) {
-    const std::size_t first = out.size();
-    std::size_t k = 0;
-#if defined(REPRO_SIMD_X86)
-    if (use_avx2()) {
-      out.resize(first + static_cast<std::size_t>(n_) + kScanSlack);
-      splitmfg::VpinId* dst = out.data() + first;
-      k = sweep_ball_avx2(xs_.data(), ys_.data(), drv_.data(), 0, v, ax, ay,
-                          r, a_mask, dst, 0);
-      k = sweep_ball_avx2(xs_.data(), ys_.data(), drv_.data(), v + 1, n_, ax,
-                          ay, r, a_mask, dst, k);
-      out.resize(first + k);
-      return static_cast<std::size_t>(n_ > 0 ? n_ - 1 : 0);
-    }
-#endif
-    out.resize(first + static_cast<std::size_t>(n_));
-    splitmfg::VpinId* dst = out.data() + first;
-    const auto sweep = [&](splitmfg::VpinId lo, splitmfg::VpinId hi) {
-      for (splitmfg::VpinId w = lo; w < hi; ++w) {
-        const std::size_t wi = static_cast<std::size_t>(w);
-        const double d = std::abs(ax - xs_[wi]) + std::abs(ay - ys_[wi]);
-        dst[k] = w;
-        k += static_cast<unsigned>(d <= r) & (1u - (a_mask & drv_[wi]));
-      }
-    };
-    sweep(0, v);
-    sweep(v + 1, static_cast<splitmfg::VpinId>(n_));
-    out.resize(first + k);
-    return static_cast<std::size_t>(n_ > 0 ? n_ - 1 : 0);
-  }
 
   const std::size_t first = out.size();
   std::size_t scanned = 0;
@@ -425,105 +372,30 @@ std::size_t CandidateIndex::collect_ball(
 std::size_t CandidateIndex::collect_track(
     splitmfg::VpinId v, const PairFilter& filter,
     std::vector<splitmfg::VpinId>& out) const {
-  const splitmfg::Vpin& a = ch_->vpin(v);
-  const bool a_drv = drv_[static_cast<std::size_t>(v)] != 0;
-  const auto& track = filter.top_metal_horizontal ? by_y_ : by_x_;
-  const geom::Dbu coord = filter.top_metal_horizontal ? a.pos.y : a.pos.x;
-  const geom::Dbu other = filter.top_metal_horizontal ? a.pos.x : a.pos.y;
-  const auto [lo, hi] = std::equal_range(
-      track.begin(), track.end(),
-      TrackEntry{coord, 0, false, splitmfg::kInvalidVpin},
-      [](const TrackEntry& x, const TrackEntry& y) {
-        return x.coord < y.coord;
-      });
+  const std::size_t vi = static_cast<std::size_t>(v);
+  const bool horizontal = filter.top_metal_horizontal;
+  const Tracks& t = horizontal ? by_y_ : by_x_;
+  const double coord = horizontal ? ys_[vi] : xs_[vi];
+  const double other = horizontal ? xs_[vi] : ys_[vi];
+  const auto [lo, hi] = std::equal_range(t.coord.begin(), t.coord.end(),
+                                         static_cast<geom::Dbu>(coord));
+  const std::size_t i0 = static_cast<std::size_t>(lo - t.coord.begin());
+  const std::size_t count = static_cast<std::size_t>(hi - lo);
+  const double r = filter.neighborhood.value_or(
+      std::numeric_limits<double>::infinity());
+  auto* scan = &scan_track;
 #if defined(REPRO_SIMD_X86)
-  if (use_avx2()) {
-    const std::size_t i0 =
-        static_cast<std::size_t>(lo - track.begin());
-    const std::size_t count = static_cast<std::size_t>(hi - lo);
-    const double* other_arr =
-        (filter.top_metal_horizontal ? ty_other_ : tx_other_).data() + i0;
-    const std::uint8_t* drv_arr =
-        (filter.top_metal_horizontal ? ty_drv_ : tx_drv_).data() + i0;
-    const std::int32_t* id_arr =
-        (filter.top_metal_horizontal ? ty_id_ : tx_id_).data() + i0;
-    const double r = filter.neighborhood
-                         ? *filter.neighborhood
-                         : std::numeric_limits<double>::infinity();
-    const std::size_t first = out.size();
-    out.resize(first + count + kScanSlack);
-    const std::size_t k =
-        scan_track_avx2(other_arr, drv_arr, id_arr, count,
-                        static_cast<double>(other), r, a_drv ? 1u : 0u, v,
-                        out.data() + first);
-    out.resize(first + k);
-    // v's own entry always sits in its track range; everything else
-    // counts as scanned, matching the scalar loop below.
-    return count > 0 ? count - 1 : 0;
-  }
+  if (use_avx2()) scan = &scan_track_avx2;
 #endif
-  std::size_t scanned = 0;
-  for (auto it = lo; it != hi; ++it) {  // (coord, id)-sorted => id ascending
-    if (it->id == v) continue;
-    ++scanned;
-    // On-track pairs differ only in the `other` coordinate, so the
-    // Manhattan term reduces to |other - a.other| + 0.0 — still summed in
-    // double, matching manhattan_vpin exactly.
-    if (a_drv && it->drv) continue;
-    if (filter.neighborhood &&
-        std::abs(static_cast<double>(other - it->other)) + 0.0 >
-            *filter.neighborhood) {
-      continue;
-    }
-    out.push_back(it->id);
-  }
-  return scanned;
-}
-
-std::vector<splitmfg::VpinId> CandidateIndex::within_radius(
-    splitmfg::VpinId v, double r) const {
-  std::vector<splitmfg::VpinId> out;
-  // Geometric query only: strip legality by testing distance directly.
-  const splitmfg::Vpin& a = ch_->vpin(v);
-  const geom::Dbu rad = radius_dbu(r);
-  const int cx0 = cell_x(a.pos.x - rad), cx1 = cell_x(a.pos.x + rad);
-  const int cy0 = cell_y(a.pos.y - rad), cy1 = cell_y(a.pos.y + rad);
-  for (int cy = cy0; cy <= cy1; ++cy) {
-    for (int cx = cx0; cx <= cx1; ++cx) {
-      const std::size_t b = static_cast<std::size_t>(cy) * nx_ + cx;
-      const std::int32_t end = bucket_start_[b + 1];
-      for (std::int32_t i = bucket_start_[b]; i < end; ++i) {
-        const splitmfg::VpinId w = bucket_ids_[static_cast<std::size_t>(i)];
-        if (w == v) continue;
-        const splitmfg::Vpin& c = ch_->vpin(w);
-        const double d =
-            std::abs(static_cast<double>(a.pos.x - c.pos.x)) +
-            std::abs(static_cast<double>(a.pos.y - c.pos.y));
-        if (d <= r) out.push_back(w);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<splitmfg::VpinId> CandidateIndex::same_track(
-    splitmfg::VpinId v, bool top_metal_horizontal) const {
-  const splitmfg::Vpin& a = ch_->vpin(v);
-  const auto& track = top_metal_horizontal ? by_y_ : by_x_;
-  const geom::Dbu coord = top_metal_horizontal ? a.pos.y : a.pos.x;
-  const auto [lo, hi] = std::equal_range(
-      track.begin(), track.end(),
-      TrackEntry{coord, 0, false, splitmfg::kInvalidVpin},
-      [](const TrackEntry& x, const TrackEntry& y) {
-        return x.coord < y.coord;
-      });
-  std::vector<splitmfg::VpinId> out;
-  out.reserve(static_cast<std::size_t>(hi - lo));
-  for (auto it = lo; it != hi; ++it) {
-    if (it->id != v) out.push_back(it->id);
-  }
-  return out;
+  const std::size_t first = out.size();
+  out.resize(first + count + kScanSlack);
+  const std::size_t k =
+      scan(t.other.data() + i0, t.drv.data() + i0, t.id.data() + i0, count,
+           other, r, drv_[vi], v, out.data() + first);
+  out.resize(first + k);
+  // v's own entry always sits in its track range; everything else counts
+  // as scanned.
+  return count - 1;
 }
 
 }  // namespace repro::core

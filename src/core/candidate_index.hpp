@@ -1,42 +1,39 @@
-// Spatial v-pin index for output-sensitive candidate generation.
+// Spatial v-pin index: the one candidate enumerator of the attack.
 //
-// Every consumer of v-pin pairs in this repo (attack scoring, training-set
-// sampling, PA validation, two-level pruning) used to enumerate all O(n^2)
-// ordered pairs and reject most of them through PairFilter::admits — a
-// Manhattan-radius plus same-row/column test that a spatial index can
-// answer directly. The CandidateIndex makes the enumeration cost
-// proportional to the number of *admitted* candidates instead:
+// Every consumer of v-pin pairs in this repo (attack scoring, which
+// two-level pruning and PA validation go through, and training-set
+// sampling) asks CandidateIndex::collect for the candidates of a v-pin:
+// the ids PairFilter::admits — legality, the Manhattan neighbourhood of
+// the Imp variants, the same-row/column restriction of the Y variants.
+// collect picks one of three strategies by filter shape:
 //
-//   * a uniform grid over the die, bucketed by v-pin position, answers
-//     the Manhattan-ball query of the Imp neighbourhood restriction
-//     (within_radius);
-//   * per-coordinate sorted tracks answer the same-row / same-column
-//     query of the Y-variant top-direction restriction (same_track).
+//   * the dense sweep over id-ordered records, for the unrestricted
+//     filter (a ball of radius +infinity) and for balls whose cell range
+//     covers at least half the grid;
+//   * the grid walk over a uniform grid of v-pin positions, for balls
+//     small next to the die;
+//   * the track scan, an equal_range on per-coordinate sorted tracks, for
+//     the Y variants with or without a neighbourhood.
 //
-// Determinism contract: every query returns candidate ids in ascending-id
-// order, the same order the brute-force `for (j = 0; j < n; ++j)` loop
-// visits them. The grid is only a *superset* pre-filter — candidates are
-// collected from the touched buckets, checked against the exact same
-// double-precision PairFilter::admits predicate the brute-force path
-// uses, and then sorted by id. Bucket geometry (bin size, visit order)
-// therefore cannot leak into results: AttackResult digests are
-// bit-identical between brute-force and indexed enumeration at any
-// thread count. tests/test_candidate_index.cpp locks this in.
+// Determinism contract: every query returns exactly the ids the
+// brute-force `for (w = 0; w < n; ++w)` admits loop yields, in the same
+// ascending-id order. The grid is only a *superset* pre-filter — the
+// walk checks every visited record against the same double-precision
+// predicate and sorts what it appended — so bucket geometry cannot leak
+// into results. tests/test_candidate_index.cpp compares every list of
+// every strategy against that loop.
 //
-// The admits predicate is evaluated from compact per-v-pin records
-// (x, y, drives flag) the index keeps in both id order and bucket order,
-// not from the ~150-byte Vpin structs: candidate scanning is limited by
-// memory bandwidth, and the compact layout moves ~6x fewer bytes per
-// scanned candidate. The records reproduce admits exactly — the drives
-// flag is legal_pair's only input, and the Manhattan term is computed as
-// the same |dx| + |dy| double sum as manhattan_vpin. When the query ball
-// covers most of the grid anyway (small dies, wide neighbourhood radii),
-// collect() skips the buckets and scans the id-ordered records directly,
-// which also makes the canonical-order sort a no-op.
+// The predicate is evaluated from compact per-v-pin records (x, y,
+// drives flag), not from the ~150-byte Vpin structs: candidate scanning
+// is limited by memory bandwidth, and the compact layout moves ~6x fewer
+// bytes per scanned candidate. The records reproduce admits exactly — the
+// drives flag is legal_pair's only input, and the Manhattan term is the
+// same |dx| + |dy| double sum as manhattan_vpin.
 //
-// The index is built once per SplitChallenge (O(n) time and memory,
-// instrumented as the "index.build" span) and is immutable afterwards,
-// so concurrent queries from the scoring workers need no locks.
+// The index is built once per SplitChallenge (O(n log n) time, O(n)
+// memory, instrumented as the "index.build" span) and is immutable
+// afterwards, so concurrent queries from the scoring workers need no
+// locks.
 #pragma once
 
 #include <cstdint>
@@ -49,31 +46,20 @@ namespace repro::core {
 
 class CandidateIndex {
  public:
-  /// Builds the grid and track indexes over `ch.vpins`. The challenge
-  /// must outlive the index.
+  /// Builds the grid, the id-ordered records and the tracks over
+  /// `ch.vpins`. The index keeps no reference to `ch`.
   explicit CandidateIndex(const splitmfg::SplitChallenge& ch);
 
   int num_vpins() const { return n_; }
 
   /// Appends to `out` every candidate id w != v with
-  /// `filter.admits(vpin(v), vpin(w))`, in ascending-id order — exactly
-  /// the ids the brute-force scan admits, at a cost proportional to the
-  /// v-pins inside the query region rather than n. Returns the number of
-  /// candidates *scanned* (visited before the admits check), the
-  /// output-sensitivity measure surfaced as index.candidates_scanned.
+  /// `filter.admits(vpin(v), vpin(w))`, in ascending-id order. Returns
+  /// the number of candidates *scanned* (visited before the admits
+  /// check): n - 1 for the dense sweep, the other v-pins of the visited
+  /// buckets for the grid walk, the rest of v's track for the track scan.
+  /// The engine surfaces it as index.candidates_scanned.
   std::size_t collect(splitmfg::VpinId v, const PairFilter& filter,
                       std::vector<splitmfg::VpinId>& out) const;
-
-  /// Ids w != v with ManhattanVpin(v, w) <= r, ascending. The Manhattan
-  /// ball of the neighbourhood restriction; legality is NOT applied.
-  std::vector<splitmfg::VpinId> within_radius(splitmfg::VpinId v,
-                                              double r) const;
-
-  /// Ids w != v on the same track as v — same y when the top metal runs
-  /// horizontally, same x otherwise — ascending. The top-direction
-  /// restriction of the Y variants; legality is NOT applied.
-  std::vector<splitmfg::VpinId> same_track(splitmfg::VpinId v,
-                                           bool top_metal_horizontal) const;
 
  private:
   /// Compact projection of a Vpin: everything PairFilter::admits reads.
@@ -83,19 +69,21 @@ class CandidateIndex {
     bool drv = false;  ///< Vpin::drives(); legal_pair's only input
   };
 
-  struct TrackEntry {
-    geom::Dbu coord;        ///< y (horizontal top metal) or x (vertical)
-    geom::Dbu other;        ///< the complementary coordinate
-    bool drv = false;
-    splitmfg::VpinId id;
-    friend bool operator<(const TrackEntry& a, const TrackEntry& b) {
-      return a.coord != b.coord ? a.coord < b.coord : a.id < b.id;
-    }
+  /// One track orientation in SoA: the v-pins sorted by (coord, id), so
+  /// equal_range on `coord` yields one track with its ids ascending. The
+  /// complementary coordinate is stored as double (exact below 2^53 DBU),
+  /// so |a.other - w.other| equals manhattan_vpin's int64-subtract-then-
+  /// convert term bit for bit.
+  struct Tracks {
+    std::vector<geom::Dbu> coord;  ///< y (horizontal top metal) or x
+    std::vector<double> other;     ///< the complementary coordinate
+    std::vector<std::uint8_t> drv;
+    std::vector<splitmfg::VpinId> id;
   };
 
-  std::size_t collect_all(splitmfg::VpinId v, const PairFilter& filter,
-                          std::vector<splitmfg::VpinId>& out) const;
-  std::size_t collect_ball(splitmfg::VpinId v, const PairFilter& filter,
+  std::size_t sweep(splitmfg::VpinId v, double r,
+                    std::vector<splitmfg::VpinId>& out) const;
+  std::size_t collect_ball(splitmfg::VpinId v, double r,
                            std::vector<splitmfg::VpinId>& out) const;
   std::size_t collect_track(splitmfg::VpinId v, const PairFilter& filter,
                             std::vector<splitmfg::VpinId>& out) const;
@@ -103,14 +91,12 @@ class CandidateIndex {
   int cell_x(geom::Dbu x) const;
   int cell_y(geom::Dbu y) const;
 
-  const splitmfg::SplitChallenge* ch_ = nullptr;
   int n_ = 0;
 
-  // Uniform grid in CSR layout: ids of bucket (cx, cy) are
-  // bucket_ids_[bucket_start_[cy*nx_+cx] .. bucket_start_[cy*nx_+cx+1]),
-  // ascending within each bucket (filled in id order). bucket_recs_ is
-  // aligned with bucket_ids_; recs_ is the same data in id order for the
-  // flat scans of collect_all and the dense-ball fallback.
+  // Uniform grid in CSR layout for the grid walk: ids of bucket (cx, cy)
+  // are bucket_ids_[bucket_start_[cy*nx_+cx] .. bucket_start_[cy*nx_+cx+1]),
+  // ascending within each bucket (filled in id order); bucket_recs_ is
+  // aligned with bucket_ids_.
   geom::Dbu bin_ = 1;
   geom::Dbu origin_x_ = 0, origin_y_ = 0;
   int nx_ = 1, ny_ = 1;
@@ -118,28 +104,16 @@ class CandidateIndex {
   std::vector<splitmfg::VpinId> bucket_ids_;
   std::vector<Rec> bucket_recs_;
 
-  // Id-ordered SoA mirror of the records for the flat scans. Coordinates
-  // are pre-converted to double (exact below 2^53 DBU, i.e. any physical
-  // die) so the inner loop is pure double arithmetic plus a 0/1 legality
-  // byte — branchless and auto-vectorizable.
+  // Id-ordered SoA records for the dense sweep. Coordinates are
+  // pre-converted to double (exact below 2^53 DBU, i.e. any physical die)
+  // so the inner loop is pure double arithmetic plus a 0/1 legality byte —
+  // branchless and vectorizable.
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<std::uint8_t> drv_;
 
-  // Track indexes: v-pins sorted by (x, id) and (y, id); equal_range on a
-  // coordinate yields the track's ids already in ascending-id order.
-  std::vector<TrackEntry> by_x_;
-  std::vector<TrackEntry> by_y_;
-
-  // SoA mirrors of by_x_/by_y_ in the same sorted order, so the track
-  // scan can run as a contiguous range-compare over doubles plus a
-  // compress-emit of the admitted i32 ids (see scan_track_avx2 in
-  // candidate_index.cpp). The complementary coordinate is pre-converted
-  // to double — exact below 2^53 DBU — so |a.other - w.other| matches
-  // the scalar int64-subtract-then-convert expression bit for bit.
-  std::vector<double> tx_other_, ty_other_;
-  std::vector<std::uint8_t> tx_drv_, ty_drv_;
-  std::vector<splitmfg::VpinId> tx_id_, ty_id_;
+  Tracks by_x_;  ///< vertical tracks (same x)
+  Tracks by_y_;  ///< horizontal tracks (same y)
 };
 
 }  // namespace repro::core

@@ -43,7 +43,7 @@ void put_config(BinaryWriter& w, const AttackConfig& c) {
   w.i32(c.top_k);
   w.i32(c.max_test_vpins);
   w.i32(c.max_train_samples);
-  w.u8(c.use_candidate_index ? 1 : 0);
+  w.u8(1);  // old index switch: keeps run keys and models byte-identical
   w.i32(c.max_trees);
   w.u64(c.seed);
 }
@@ -51,7 +51,7 @@ void put_config(BinaryWriter& w, const AttackConfig& c) {
 bool get_config(BinaryReader& r, AttackConfig& c) {
   std::int32_t features = 0;
   std::uint8_t improved = 0, limit_top = 0, top_horiz = 0, rf = 0, norm = 0,
-               use_index = 0;
+               index_switch = 0;
   r.str(c.name);
   r.i32(features);
   r.u8(improved);
@@ -64,7 +64,7 @@ bool get_config(BinaryReader& r, AttackConfig& c) {
   r.i32(c.top_k);
   r.i32(c.max_test_vpins);
   r.i32(c.max_train_samples);
-  r.u8(use_index);
+  r.u8(index_switch);  // read and ignored, see put_config
   r.i32(c.max_trees);
   r.u64(c.seed);
   if (!r.ok()) return false;
@@ -74,7 +74,6 @@ bool get_config(BinaryReader& r, AttackConfig& c) {
   c.top_metal_horizontal = top_horiz != 0;
   c.use_random_forest = rf != 0;
   c.normalize_distances = norm != 0;
-  c.use_candidate_index = use_index != 0;
   return true;
 }
 

@@ -338,20 +338,6 @@ StatusOr<LefContents> read_lef(std::istream& is, DiagnosticSink& sink) {
       std::move(lib)};
 }
 
-LefContents read_lef(std::istream& is) {
-  DiagnosticSink sink;
-  StatusOr<LefContents> result = read_lef(is, sink);
-  if (!result.ok()) {
-    const common::Diagnostic* d = sink.first_error();
-    if (d != nullptr) {
-      throw std::runtime_error("lefdef parse error at line " +
-                               std::to_string(d->line) + ": " + d->message);
-    }
-    throw std::runtime_error(result.status().to_string());
-  }
-  return std::move(result).value();
-}
-
 void write_def(std::ostream& os, const netlist::Netlist& nl,
                const route::RouteDB& db, std::optional<int> split_layer) {
   os << "DESIGN " << (nl.name().empty() ? "anon" : nl.name()) << " ;\n";
@@ -653,21 +639,6 @@ StatusOr<DefDesign> read_def(std::istream& is,
   OBS_COUNT("ingest.def_components", nl.num_cells());
   OBS_COUNT("ingest.def_nets", nl.num_nets());
   return DefDesign{std::move(nl), std::move(routes), die, 0};
-}
-
-DefDesign read_def(std::istream& is,
-                   std::shared_ptr<const netlist::Library> lib) {
-  DiagnosticSink sink;
-  StatusOr<DefDesign> result = read_def(is, std::move(lib), sink);
-  if (!result.ok()) {
-    const common::Diagnostic* d = sink.first_error();
-    if (d != nullptr) {
-      throw std::runtime_error("lefdef parse error at line " +
-                               std::to_string(d->line) + ": " + d->message);
-    }
-    throw std::runtime_error(result.status().to_string());
-  }
-  return std::move(result).value();
 }
 
 route::RouteDB to_route_db(const DefDesign& def, geom::Dbu gcell_size) {

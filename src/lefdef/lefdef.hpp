@@ -12,15 +12,13 @@
 // The grammar is a strict, line-oriented subset of real LEF/DEF; see
 // write_lef / write_def for the productions.
 //
-// Two parser entry points exist per format:
-//  * The Status-returning overloads never throw. They recover from
-//    malformed lines where the section structure allows it, collect every
-//    finding in the caller's DiagnosticSink (severity, code, file, line,
-//    message), and return a failing Status if anything at error severity
-//    was reported. Numeric tokens are range-checked, so garbage input can
-//    not smuggle wrapped or absurd coordinates into the route database.
-//  * The legacy overloads wrap them and throw std::runtime_error carrying
-//    the first diagnostic ("lefdef parse error at line N: ...").
+// Each format has one parser entry point, and it never throws. It
+// recovers from malformed lines where the section structure allows it,
+// collects every finding in the caller's DiagnosticSink (severity, code,
+// file, line, message), and returns a failing Status if anything at error
+// severity was reported. Numeric tokens are range-checked, so garbage
+// input can not smuggle wrapped or absurd coordinates into the route
+// database.
 #pragma once
 
 #include <iosfwd>
@@ -52,9 +50,6 @@ struct LefContents {
 common::StatusOr<LefContents> read_lef(std::istream& is,
                                        common::DiagnosticSink& sink);
 
-/// Legacy API: parses and throws std::runtime_error on the first error.
-LefContents read_lef(std::istream& is);
-
 /// A parsed DEF design: netlist (cells placed, nets with pins) plus the
 /// routed geometry per net.
 struct DefDesign {
@@ -80,9 +75,6 @@ void write_def(std::ostream& os, const netlist::Netlist& nl,
 common::StatusOr<DefDesign> read_def(std::istream& is,
                                      std::shared_ptr<const netlist::Library> lib,
                                      common::DiagnosticSink& sink);
-
-/// Legacy API: parses and throws std::runtime_error on the first error.
-DefDesign read_def(std::istream& is, std::shared_ptr<const netlist::Library> lib);
 
 /// Rebuilds a routing database from a parsed DEF: grid geometry from the
 /// die and GCell size, routes as parsed, and pin-access records recomputed

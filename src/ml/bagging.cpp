@@ -22,16 +22,20 @@ namespace {
 /// full wall time.
 constexpr std::int64_t kSpanSampleMask = 7;
 
-common::Status check_trainable(const Dataset& data) {
+/// Bootstrap resampling has nothing to draw from in an empty dataset.
+void check_trainable(const Dataset& data) {
   if (data.num_rows() <= 0) {
-    return common::Status::InvalidArgument(
+    throw std::invalid_argument(
         "bagging: cannot train on an empty dataset (0 rows; bootstrap "
         "resampling has nothing to draw from)");
   }
-  return common::Status::Ok();
 }
 
-BaggingClassifier train_impl(const Dataset& data, const BaggingOptions& opt) {
+}  // namespace
+
+BaggingClassifier BaggingClassifier::train(const Dataset& data,
+                                           const BaggingOptions& opt) {
+  check_trainable(data);
   OBS_SPAN("train.fit_ensemble");
   const int num_trees = std::max(0, opt.num_trees);
   std::vector<DecisionTree> trees(static_cast<std::size_t>(num_trees));
@@ -56,15 +60,11 @@ BaggingClassifier train_impl(const Dataset& data, const BaggingOptions& opt) {
   return BaggingClassifier::from_grown_trees(std::move(trees));
 }
 
-}  // namespace
-
 DecisionTree BaggingClassifier::train_tree(const Dataset& data,
                                            const Presort& order,
                                            const BaggingOptions& opt, int t,
                                            TreeScratch& scratch) {
-  if (const common::Status s = check_trainable(data); !s.ok()) {
-    throw std::invalid_argument(std::string(s.message()));
-  }
+  check_trainable(data);
   std::optional<common::obs::SpanGuard> span;
   if ((t & kSpanSampleMask) == 0) span.emplace("train.fit_tree", t);
   // Tree t owns an RNG derived from (seed, t): both the bootstrap
@@ -104,20 +104,6 @@ BaggingOptions BaggingOptions::random_forest(int num_features,
       static_cast<int>(std::ceil(std::log2(std::max(2, num_features)))) + 1;
   o.seed = seed;
   return o;
-}
-
-BaggingClassifier BaggingClassifier::train(const Dataset& data,
-                                           const BaggingOptions& opt) {
-  if (const common::Status s = check_trainable(data); !s.ok()) {
-    throw std::invalid_argument(std::string(s.message()));
-  }
-  return train_impl(data, opt);
-}
-
-common::StatusOr<BaggingClassifier> BaggingClassifier::train_checked(
-    const Dataset& data, const BaggingOptions& opt) {
-  if (common::Status s = check_trainable(data); !s.ok()) return s;
-  return train_impl(data, opt);
 }
 
 double BaggingClassifier::predict_proba(std::span<const double> x) const {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/simd.hpp"
-#include "common/status.hpp"
 #include "ml/tree.hpp"
 
 namespace repro::ml {
@@ -52,17 +51,10 @@ class BaggingClassifier {
   /// (data, opt) and bit-identical at any thread count. Training runs on
   /// the global thread pool (REPRO_THREADS / set_global_threads).
   ///
-  /// Throws std::invalid_argument on an empty dataset; callers on
-  /// fallible paths use train_checked instead.
+  /// Throws std::invalid_argument on an empty dataset: bootstrap
+  /// resampling has nothing to draw from.
   static BaggingClassifier train(const Dataset& data,
                                  const BaggingOptions& opt);
-
-  /// train with Status-style error propagation: an empty dataset is a
-  /// reportable kInvalidArgument (bootstrap resampling has nothing to
-  /// draw from — the old code silently "sampled" row 0 of the empty
-  /// row range), not a crash or a silently-degenerate model.
-  static common::StatusOr<BaggingClassifier> train_checked(
-      const Dataset& data, const BaggingOptions& opt);
 
   /// Grows tree t of the ensemble train(data, opt) builds. Its bootstrap
   /// resample and its growth both draw from derive_seed(opt.seed, t), so

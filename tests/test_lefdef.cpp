@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <sstream>
 
 #include "common/diagnostics.hpp"
@@ -17,20 +18,22 @@ TEST(Lef, RoundTripPreservesTechAndLibrary) {
   const auto lib = netlist::Library::make_default();
   std::stringstream ss;
   write_lef(ss, tech, lib);
-  const LefContents parsed = read_lef(ss);
+  common::DiagnosticSink sink;
+  const auto parsed = read_lef(ss, sink);
+  ASSERT_TRUE(parsed.ok()) << sink.summary();
 
-  EXPECT_EQ(parsed.tech.num_metal_layers(), tech.num_metal_layers());
-  EXPECT_EQ(parsed.tech.num_via_layers(), tech.num_via_layers());
-  EXPECT_EQ(parsed.tech.gcell_size(), tech.gcell_size());
+  EXPECT_EQ(parsed->tech.num_metal_layers(), tech.num_metal_layers());
+  EXPECT_EQ(parsed->tech.num_via_layers(), tech.num_via_layers());
+  EXPECT_EQ(parsed->tech.gcell_size(), tech.gcell_size());
   for (int i = 1; i <= tech.num_metal_layers(); ++i) {
-    EXPECT_EQ(parsed.tech.metal(i).name, tech.metal(i).name);
-    EXPECT_EQ(parsed.tech.metal(i).preferred, tech.metal(i).preferred);
-    EXPECT_EQ(parsed.tech.metal(i).width_mult, tech.metal(i).width_mult);
-    EXPECT_EQ(parsed.tech.metal(i).capacity, tech.metal(i).capacity);
+    EXPECT_EQ(parsed->tech.metal(i).name, tech.metal(i).name);
+    EXPECT_EQ(parsed->tech.metal(i).preferred, tech.metal(i).preferred);
+    EXPECT_EQ(parsed->tech.metal(i).width_mult, tech.metal(i).width_mult);
+    EXPECT_EQ(parsed->tech.metal(i).capacity, tech.metal(i).capacity);
   }
-  ASSERT_EQ(parsed.lib.num_cells(), lib.num_cells());
+  ASSERT_EQ(parsed->lib.num_cells(), lib.num_cells());
   for (int c = 0; c < lib.num_cells(); ++c) {
-    const auto& a = parsed.lib.cell(c);
+    const auto& a = parsed->lib.cell(c);
     const auto& b = lib.cell(c);
     EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.width, b.width);
@@ -47,10 +50,12 @@ TEST(Lef, RoundTripPreservesTechAndLibrary) {
 }
 
 TEST(Lef, ParserRejectsGarbage) {
-  std::stringstream ss("FOO BAR ;\n");
-  EXPECT_THROW(read_lef(ss), std::runtime_error);
-  std::stringstream empty("");
-  EXPECT_THROW(read_lef(empty), std::runtime_error);
+  for (const char* text : {"FOO BAR ;\n", ""}) {
+    common::DiagnosticSink sink;
+    std::stringstream ss(text);
+    EXPECT_FALSE(read_lef(ss, sink).ok()) << "'" << text << "'";
+    EXPECT_TRUE(sink.has_errors()) << "'" << text << "'";
+  }
 }
 
 class DefRoundTrip : public ::testing::Test {
@@ -61,31 +66,39 @@ class DefRoundTrip : public ::testing::Test {
     params.name = "defmini";
     design_ = std::make_unique<synth::SynthDesign>(synth::generate(params));
   }
+  /// Parses a DEF the fixture wrote, printing the diagnostics if it fails.
+  common::StatusOr<DefDesign> parse(std::istream& is) const {
+    common::DiagnosticSink sink;
+    auto parsed = read_def(is, design_->lib, sink);
+    if (!parsed.ok()) sink.print(std::cerr);
+    return parsed;
+  }
   std::unique_ptr<synth::SynthDesign> design_;
 };
 
 TEST_F(DefRoundTrip, FullViewPreservesEverything) {
   std::stringstream ss;
   write_def(ss, *design_->netlist, design_->routes);
-  const DefDesign parsed = read_def(ss, design_->lib);
+  const auto parsed = parse(ss);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
 
-  EXPECT_EQ(parsed.netlist.num_cells(), design_->netlist->num_cells());
-  EXPECT_EQ(parsed.netlist.num_nets(), design_->netlist->num_nets());
-  EXPECT_EQ(parsed.die, design_->routes.grid.die());
-  EXPECT_NO_THROW(parsed.netlist.check());
+  EXPECT_EQ(parsed->netlist.num_cells(), design_->netlist->num_cells());
+  EXPECT_EQ(parsed->netlist.num_nets(), design_->netlist->num_nets());
+  EXPECT_EQ(parsed->die, design_->routes.grid.die());
+  EXPECT_NO_THROW(parsed->netlist.check());
 
-  for (netlist::CellId c = 0; c < parsed.netlist.num_cells(); ++c) {
-    EXPECT_EQ(parsed.netlist.cell(c).origin,
+  for (netlist::CellId c = 0; c < parsed->netlist.num_cells(); ++c) {
+    EXPECT_EQ(parsed->netlist.cell(c).origin,
               design_->netlist->cell(c).origin);
-    EXPECT_EQ(parsed.netlist.cell(c).lib_cell,
+    EXPECT_EQ(parsed->netlist.cell(c).lib_cell,
               design_->netlist->cell(c).lib_cell);
   }
   long wires = 0, vias = 0, pwires = 0, pvias = 0;
-  for (netlist::NetId n = 0; n < parsed.netlist.num_nets(); ++n) {
+  for (netlist::NetId n = 0; n < parsed->netlist.num_nets(); ++n) {
     wires += static_cast<long>(design_->routes.route_of(n).wires.size());
     vias += static_cast<long>(design_->routes.route_of(n).vias.size());
-    pwires += static_cast<long>(parsed.routes[static_cast<std::size_t>(n)].wires.size());
-    pvias += static_cast<long>(parsed.routes[static_cast<std::size_t>(n)].vias.size());
+    pwires += static_cast<long>(parsed->routes[static_cast<std::size_t>(n)].wires.size());
+    pvias += static_cast<long>(parsed->routes[static_cast<std::size_t>(n)].vias.size());
   }
   EXPECT_EQ(wires, pwires);
   EXPECT_EQ(vias, pvias);
@@ -95,9 +108,10 @@ TEST_F(DefRoundTrip, FeolTruncationCutsAtSplitLayer) {
   const int split = 6;
   std::stringstream ss;
   write_def(ss, *design_->netlist, design_->routes, split);
-  const DefDesign parsed = read_def(ss, design_->lib);
+  const auto parsed = parse(ss);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   long kept_vias = 0;
-  for (const auto& nr : parsed.routes) {
+  for (const auto& nr : parsed->routes) {
     for (const auto& w : nr.wires) EXPECT_LE(w.layer, split);
     for (const auto& v : nr.vias) EXPECT_LE(v.via_layer, split);
     kept_vias += static_cast<long>(nr.vias.size());
@@ -106,7 +120,7 @@ TEST_F(DefRoundTrip, FeolTruncationCutsAtSplitLayer) {
   // The FEOL view keeps the vias *at* the split layer - those are the
   // v-pins the attacker sees.
   long split_vias = 0;
-  for (const auto& nr : parsed.routes) {
+  for (const auto& nr : parsed->routes) {
     for (const auto& v : nr.vias) split_vias += (v.via_layer == split);
   }
   EXPECT_GT(split_vias, 0);
@@ -117,12 +131,13 @@ TEST_F(DefRoundTrip, ChallengeFromParsedDefMatchesInMemoryChallenge) {
   // cut it. Must agree with the in-memory challenge.
   std::stringstream ss;
   write_def(ss, *design_->netlist, design_->routes);
-  const DefDesign parsed = read_def(ss, design_->lib);
-  const route::RouteDB db = to_route_db(parsed, 800);
+  const auto parsed = parse(ss);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const route::RouteDB db = to_route_db(*parsed, 800);
 
   const auto mem = splitmfg::make_challenge(*design_->netlist,
                                             design_->routes, 8);
-  const auto file = splitmfg::make_challenge(parsed.netlist, db, 8);
+  const auto file = splitmfg::make_challenge(parsed->netlist, db, 8);
   ASSERT_EQ(file.num_vpins(), mem.num_vpins());
   EXPECT_EQ(file.num_matching_pairs(), mem.num_matching_pairs());
   for (int v = 0; v < mem.num_vpins(); ++v) {
@@ -141,13 +156,15 @@ TEST_F(DefRoundTrip, FeolChallengeHasSameVpinsButNoGroundTruth) {
   std::stringstream full_ss, feol_ss;
   write_def(full_ss, *design_->netlist, design_->routes);
   write_def(feol_ss, *design_->netlist, design_->routes, split);
-  const DefDesign full = read_def(full_ss, design_->lib);
-  const DefDesign feol = read_def(feol_ss, design_->lib);
+  const auto full = parse(full_ss);
+  const auto feol = parse(feol_ss);
+  ASSERT_TRUE(full.ok()) << full.status().to_string();
+  ASSERT_TRUE(feol.ok()) << feol.status().to_string();
 
   const auto full_ch =
-      splitmfg::make_challenge(full.netlist, to_route_db(full, 800), split);
+      splitmfg::make_challenge(full->netlist, to_route_db(*full, 800), split);
   const auto feol_ch =
-      splitmfg::make_challenge(feol.netlist, to_route_db(feol, 800), split);
+      splitmfg::make_challenge(feol->netlist, to_route_db(*feol, 800), split);
 
   ASSERT_EQ(feol_ch.num_vpins(), full_ch.num_vpins());
   EXPECT_EQ(feol_ch.num_matching_pairs(), 0);
@@ -240,13 +257,11 @@ TEST(Def, ParserReportsLineNumbers) {
   const auto lib = std::make_shared<const netlist::Library>(
       netlist::Library::make_default());
   std::stringstream ss("DESIGN x ;\nGARBAGE\n");
-  try {
-    read_def(ss, lib);
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-        << e.what();
-  }
+  common::DiagnosticSink sink;
+  EXPECT_FALSE(read_def(ss, lib, sink).ok());
+  const common::Diagnostic* first = sink.first_error();
+  ASSERT_NE(first, nullptr) << sink.summary();
+  EXPECT_EQ(first->line, 2) << first->message;
 }
 
 }  // namespace

@@ -24,23 +24,8 @@ Dataset xor_dataset(int n, double noise, std::uint64_t seed) {
 
 TEST(Bagging, EmptyDatasetIsInvalidArgument) {
   const Dataset empty({"x", "y"});
-  const auto result =
-      BaggingClassifier::train_checked(empty, BaggingOptions::reptree_bagging());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
   EXPECT_THROW(BaggingClassifier::train(empty, BaggingOptions::reptree_bagging()),
                std::invalid_argument);
-}
-
-TEST(Bagging, TrainCheckedMatchesTrainOnValidData) {
-  const Dataset data = xor_dataset(300, 0.1, 6);
-  const BaggingOptions opt = BaggingOptions::reptree_bagging(6);
-  const auto checked = BaggingClassifier::train_checked(data, opt);
-  ASSERT_TRUE(checked.ok());
-  const auto plain = BaggingClassifier::train(data, opt);
-  const std::vector<double> x{0.3, 0.8};
-  EXPECT_EQ(checked->predict_proba(x), plain.predict_proba(x));
-  EXPECT_EQ(checked->total_nodes(), plain.total_nodes());
 }
 
 TEST(Bagging, DefaultsMirrorWeka) {

@@ -2,7 +2,7 @@
 // runs one computation of Tables I-VI on the five preset designs at suite
 // scale 0.05 (seed 1) and compares its digest with the value recorded
 // from the code before the top-K selection and result_digest rewrites.
-// DifferentialDigest.* and AttackThreadInvariance.* compare two paths of
+// DifferentialCollect.* and AttackThreadInvariance.* compare two paths of
 // the current code with each other; these rows pin the values themselves,
 // so a change to code both paths share still shows.
 //

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "common/diagnostics.hpp"
 #include "core/attack.hpp"
 #include "lefdef/lefdef.hpp"
 #include "splitmfg/split.hpp"
@@ -74,10 +75,12 @@ TEST_P(SplitSweep, DefRoundTripPreservesChallenge) {
   const auto& d = design(seed);
   std::stringstream ss;
   lefdef::write_def(ss, *d.netlist, d.routes);
-  const lefdef::DefDesign parsed = lefdef::read_def(ss, d.lib);
-  const route::RouteDB db = lefdef::to_route_db(parsed, 800);
+  common::DiagnosticSink sink;
+  const auto parsed = lefdef::read_def(ss, d.lib, sink);
+  ASSERT_TRUE(parsed.ok()) << sink.summary();
+  const route::RouteDB db = lefdef::to_route_db(*parsed, 800);
   const auto mem = splitmfg::make_challenge(*d.netlist, d.routes, layer);
-  const auto file = splitmfg::make_challenge(parsed.netlist, db, layer);
+  const auto file = splitmfg::make_challenge(parsed->netlist, db, layer);
   ASSERT_EQ(file.num_vpins(), mem.num_vpins());
   EXPECT_EQ(file.num_matching_pairs(), mem.num_matching_pairs());
 }

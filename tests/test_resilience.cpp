@@ -294,6 +294,14 @@ TEST_F(ResilienceAttack, ResultRoundTripsBitExactWithEqualDigest) {
   }
 }
 
+// The run key names checkpoints, server stores and campaign directories,
+// so a format change must be deliberate: this value was recorded before
+// AttackConfig lost its candidate-index switch, whose byte put_config
+// still writes as a constant.
+TEST_F(ResilienceAttack, RunKeyIsPinned) {
+  EXPECT_EQ(core::attack_run_key(challenges_, cfg_), 0x4dddf298b27f6401ULL);
+}
+
 TEST_F(ResilienceAttack, RunKeySeparatesConfigsAndInputs) {
   const std::uint64_t base = core::attack_run_key(challenges_, cfg_);
   EXPECT_EQ(base, core::attack_run_key(challenges_, cfg_)) << "must be stable";

@@ -216,7 +216,7 @@ class IndexScanLevels : public ::testing::Test {
 
   /// collect() across all of {unrestricted, ball, track x, track y} x
   /// {with, without} neighbourhood, at one dispatch level.
-  std::vector<std::vector<splitmfg::VpinId>> collect_all_shapes(
+  std::vector<std::vector<splitmfg::VpinId>> collect_every_shape(
       simd::Level level) const {
     ScopedLevel scoped(level);
     const core::CandidateIndex index(ch_);
@@ -245,8 +245,8 @@ class IndexScanLevels : public ::testing::Test {
 };
 
 TEST_F(IndexScanLevels, CollectIdenticalAcrossLevels) {
-  const auto ref = collect_all_shapes(simd::Level::kScalar);
-  const auto got = collect_all_shapes(simd::Level::kAvx2);
+  const auto ref = collect_every_shape(simd::Level::kScalar);
+  const auto got = collect_every_shape(simd::Level::kAvx2);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i], got[i]) << "query " << i;
